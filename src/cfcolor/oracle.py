@@ -1,18 +1,28 @@
 """Exact conflict-free coloring by backtracking.
 
-The search assigns colors to vertices 0..n-1 in id order with the usual
-symmetry break: vertex i may only use colors 0..min(max_used+1, k-1).
-Pruning hooks into constraint completion: the moment the last uncolored
-member of some neighborhood receives a color, that neighborhood is
-tested for a uniquely occurring color and the branch dies if none
-exists.  A completed constraint can never regain a unique color later
-(colors are only added, never removed, on the path to a full leaf), so
-the prune is sound.
+The search colors the vertices in an order fixed once per instance: a
+breadth-first sweep over the constraint hypergraph that starts at the
+vertex in the most constraints and, from each vertex it dequeues,
+appends the unvisited members of that vertex's constraints, those in
+more constraints first.  Each constraint's members thus sit close
+together in the order, so most constraints complete early in the search
+tree.  The usual symmetry break applies along that order: the i-th
+vertex may only use colors 0..min(max_used+1, k-1).
+
+Every constraint keeps its color counts, the number of colors seen once
+and the number seen at least twice; assigning and undoing a color
+updates them in O(1) per constraint.  A constraint dies, and the branch
+with it, when no color is seen once and either it is complete or all k
+colors are seen at least twice.  Colors are only added on the path to a
+full leaf, so neither case can regain a unique color and the prune is
+sound.  The search runs as a loop over an explicit depth counter, so
+its depth is not bounded by Python's recursion limit.
 
 `find_unique_coloring` / `min_unique_coloring` work on an arbitrary
 family of vertex sets; the CF-CN / CF-ON entry points instantiate them
 with closed / open neighborhoods.  Both entry points refuse graphs above
-a size guard (default 16 vertices) unless the limit is lifted.
+a size guard (default 16 vertices) unless the limit is lifted, and
+re-verify every witness they return.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from typing import Sequence
 
 from .graph import Graph, SizeGuardError
 from .coloring import VARIANT_CN, VARIANT_ON, Coloring, verify
+from .polysolve import SelfCheckError
 
 DEFAULT_LIMIT = 16
 
@@ -33,59 +44,139 @@ class OracleResult:
     infeasible: bool = False
 
 
-def find_unique_coloring(
-    n: int, constraints: Sequence[Sequence[int]], k: int
-) -> list[int] | None:
-    """First k-coloring (in symmetry-broken order) where every constraint
-    set has a unique color, or None.  Empty constraint sets make the
-    instance infeasible."""
-    if k <= 0:
-        return None if n or constraints else []
-    if any(len(s) == 0 for s in constraints):
-        return None
+def _search_order(
+    n: int, constraints: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """The constraints each vertex is in, and the order the search colors
+    the vertices in.  Every constraint is scanned once, so this costs
+    O(sum |S|) plus sorting the n vertices by membership."""
     member_of: list[list[int]] = [[] for _ in range(n)]
     for ci, s in enumerate(constraints):
         for v in s:
             member_of[v].append(ci)
-    remaining = [len(s) for s in constraints]
+
+    def more_constraints_first(v: int) -> int:
+        return -len(member_of[v])
+
+    seen = [False] * n
+    expanded = [False] * len(constraints)
+    order: list[int] = []
+    for root in sorted(range(n), key=more_constraints_first):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):  # `order` doubles as the BFS queue
+            batch = []
+            for ci in member_of[order[head]]:
+                if expanded[ci]:
+                    continue
+                expanded[ci] = True
+                for u in constraints[ci]:
+                    if not seen[u]:
+                        seen[u] = True
+                        batch.append(u)
+            batch.sort(key=more_constraints_first)
+            order.extend(batch)
+            head += 1
+    return member_of, order
+
+
+def _search(
+    k: int,
+    constraints: Sequence[Sequence[int]],
+    member_of: list[list[int]],
+    order: list[int],
+) -> list[int] | None:
+    """A k-coloring (k >= 1) giving every constraint a unique color, or
+    None."""
+    left = [len(s) for s in constraints]  # uncolored members
+    if 0 in left:
+        return None
+    m = len(constraints)
+    counts = [[0] * k for _ in range(m)]
+    ones = [0] * m  # colors seen exactly once
+    twos = [0] * m  # colors seen at least twice
+
+    def undo(v: int, c: int, upto: int) -> None:
+        for ci in member_of[v][:upto]:
+            row = counts[ci]
+            x = row[c] - 1
+            row[c] = x
+            left[ci] += 1
+            if x == 0:
+                ones[ci] -= 1
+            elif x == 1:
+                ones[ci] += 1
+                twos[ci] -= 1
+
+    def assign(v: int, c: int) -> bool:
+        """Count color c for v; on a dead constraint, take it back."""
+        mem = member_of[v]
+        for j, ci in enumerate(mem):
+            row = counts[ci]
+            x = row[c]
+            row[c] = x + 1
+            rest = left[ci] - 1
+            left[ci] = rest
+            if x == 0:
+                ones[ci] += 1
+                continue
+            if x == 1:
+                once = ones[ci] = ones[ci] - 1
+                many = twos[ci] = twos[ci] + 1
+                dead = once == 0 and (rest == 0 or many == k)
+            else:
+                dead = rest == 0 and ones[ci] == 0
+            if dead:
+                undo(v, c, j + 1)
+                return False
+        return True
+
+    n = len(order)
     colors = [-1] * n
-
-    def constraint_ok(ci: int) -> bool:
-        counts: dict[int, int] = {}
-        for v in constraints[ci]:
-            c = colors[v]
-            counts[c] = counts.get(c, 0) + 1
-        return any(cnt == 1 for cnt in counts.values())
-
-    def extend(v: int, max_used: int) -> bool:
-        if v == n:
-            return True
-        top = min(max_used + 1, k - 1)
-        for c in range(top + 1):
+    used = [0] * (n + 1)  # used[i]: distinct colors among the first i vertices
+    depth = 0
+    while depth < n:
+        v = order[depth]
+        c = colors[v]
+        if c >= 0:  # back from a dead subtree: take the old color back
+            undo(v, c, len(member_of[v]))
+        top = min(used[depth], k - 1)
+        c += 1
+        while c <= top and not assign(v, c):
+            c += 1
+        if c <= top:
             colors[v] = c
-            ok = True
-            for ci in member_of[v]:
-                remaining[ci] -= 1
-                if remaining[ci] == 0 and not constraint_ok(ci):
-                    ok = False
-            if ok and extend(v + 1, max(max_used, c)):
-                return True
-            for ci in member_of[v]:
-                remaining[ci] += 1
+            used[depth + 1] = max(used[depth], c + 1)
+            depth += 1
+        else:
             colors[v] = -1
-        return False
+            if depth == 0:
+                return None
+            depth -= 1
+    return colors
 
-    if extend(0, -1):
-        return colors
-    return None
+
+def find_unique_coloring(
+    n: int, constraints: Sequence[Sequence[int]], k: int
+) -> list[int] | None:
+    """Some k-coloring where every constraint set has a unique color, or
+    None when there is none.  Empty constraint sets make the instance
+    infeasible; vertices in no set get color 0."""
+    if k <= 0:
+        return None if n or constraints else []
+    return _search(k, constraints, *_search_order(n, constraints))
 
 
 def min_unique_coloring(
     n: int, constraints: Sequence[Sequence[int]], max_k: int
 ) -> tuple[int, list[int]] | None:
     """Smallest k <= max_k admitting a unique coloring, with a witness."""
+    member_of, order = _search_order(n, constraints)
     for k in range(1, max_k + 1):
-        witness = find_unique_coloring(n, constraints, k)
+        witness = _search(k, constraints, member_of, order)
         if witness is not None:
             return k, witness
     return None
@@ -106,6 +197,13 @@ def _check_guard(g: Graph, limit: int | None) -> None:
         )
 
 
+def _verified(g: Graph, colors: list[int], variant: str) -> Coloring:
+    witness = Coloring(g, tuple(colors))
+    if not verify(witness, variant):
+        raise SelfCheckError("oracle witness failed verification")
+    return witness
+
+
 def exact_cf(
     g: Graph, variant: str, max_k: int | None = None, limit: int | None = DEFAULT_LIMIT
 ) -> OracleResult:
@@ -124,9 +222,7 @@ def exact_cf(
     if found is None:
         return OracleResult(None, None)
     k, colors = found
-    witness = Coloring(g, tuple(colors))
-    assert verify(witness, variant), "oracle witness failed verification"
-    return OracleResult(k, witness)
+    return OracleResult(k, _verified(g, colors, variant))
 
 
 def decide_cf(
@@ -143,6 +239,4 @@ def decide_cf(
     colors = find_unique_coloring(g.n, _neighborhood_constraints(g, variant), k)
     if colors is None:
         return False, None
-    witness = Coloring(g, tuple(colors))
-    assert verify(witness, variant), "oracle witness failed verification"
-    return True, witness
+    return True, _verified(g, colors, variant)

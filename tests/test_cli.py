@@ -108,6 +108,16 @@ def test_oracle_guard(tmp_path, capsys):
     assert code == 0 and pairs["chromatic"] == "2"
 
 
+def test_oracle_long_path_without_limit(tmp_path, capsys):
+    # 1500 levels of search depth, beyond Python's recursion limit
+    edges = "".join(f"e {i} {i + 1}\n" for i in range(1499))
+    g = put(tmp_path, "p1500.cf", f"p cf 1500 1499\n{edges}")
+    code, pairs, _ = run(capsys, "oracle", "--variant", "cn", "--limit", "0", g)
+    assert code == 0 and pairs["chromatic"] == "2"
+    code, pairs, _ = run(capsys, "verify", "--variant", "cn", g, pairs["witness_file"])
+    assert code == 0 and pairs["colors_used"] == "2"
+
+
 def test_solve_auto_p4_uses_split(tmp_path, capsys):
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--strategy", "auto", "--variant", "cn", g)
