@@ -12,18 +12,22 @@ written.  Exit codes are uniform across subcommands:
     4  self-verification failure (a solver or reduction contradicted
        its own checker -- an internal defect, never silent)
 
-The `solve --strategy auto` dispatch is deterministic: an exact
-class-specific solver when the input is recognized (split CF-CN, then
-bipartite CF-CN, then cograph, then interval when a representation is
-supplied), otherwise the cheapest computed modulator drives the
-parameterized route (cluster -> few-color upper bound, threshold ->
-additive approximation; ties prefer cluster), otherwise the exact
-oracle when the instance fits under the guard, otherwise refusal.
+`solve` goes through one ordered table of constructive strategies,
+each with the variants it handles, an applicability test and a runner
+that takes the variant.  `--strategy X` runs X's entry and refuses
+(exit 2) when it does not apply.  `--strategy auto` walks the table in
+order and runs the first entry that applies: split CF-CN, bipartite
+CF-CN, cograph, interval when a representation is supplied, then the
+smaller computed modulator (cluster -> lemma1 few-color bound,
+threshold -> additive approximation; ties prefer cluster); otherwise
+the exact oracle when the instance fits under the guard, otherwise
+refusal.  `fpt` decides rather than constructs and is its own branch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -194,36 +198,72 @@ def _cmd_oracle(args, report: RunReport) -> int:
     return 0
 
 
-def _auto_solve(g: Graph, args, rep, limit, report: RunReport):
-    if args.variant == VARIANT_CN:
-        ok, partition = is_split(g)
-        if ok:
-            return "split", solve_split_cfcn(g, partition)
-        ok, sides = is_bipartite(g)
-        if ok and g.m:
-            return "bipartite", solve_bipartite_cfcn(g, sides)
-    ok, tree = is_cograph(g)
-    if ok:
-        return "cograph", solve_cograph(g, tree, args.variant)
-    if rep is not None:
-        runner = cfcn_interval if args.variant == VARIANT_CN else cfon_interval
-        return "interval", runner(g, rep)
-    cluster_m = cluster_modulator(g, args.budget)
-    threshold_m = threshold_modulator(g, args.budget)
-    if cluster_m is not None and (
-        threshold_m is None or len(cluster_m.vertices) <= len(threshold_m.vertices)
-    ):
-        runner = lemma1_cfcn if args.variant == VARIANT_CN else lemma1_cfon
-        return "lemma1", runner(g, cluster_m)
-    if threshold_m is not None:
-        runner = approx_cfcn_threshold if args.variant == VARIANT_CN else approx_cfon_threshold
-        return "approx", runner(g, threshold_m)
-    if limit is None or g.n <= limit:
-        result = exact_cf(g, args.variant, limit=limit)
-        return "oracle", SolveOutcome(result.witness, result.chromatic, EXACT, "exhaustive search")
-    raise SizeGuardError(
-        f"no polynomial strategy applies and {g.n} vertices exceed the oracle guard ({limit})"
-    )
+# The constructive strategies in `auto` ladder order: name -> (variants,
+# refusal, runner(g, certificate, variant)).  A runner names its solver
+# in its body, so the solver is looked up when it runs, not at import.
+_STRATEGIES = {
+    "split": ((VARIANT_CN,), "the graph is not split", lambda g, cert, v: solve_split_cfcn(g, cert)),
+    "bipartite": ((VARIANT_CN,), "the graph is not bipartite",
+                  lambda g, cert, v: solve_bipartite_cfcn(g, cert)),
+    "cograph": (VARIANTS, "the graph is not a cograph", lambda g, cert, v: solve_cograph(g, cert, v)),
+    "interval": (VARIANTS, "the interval strategy needs --intervals",
+                 lambda g, cert, v: (cfcn_interval if v == VARIANT_CN else cfon_interval)(g, cert)),
+    "lemma1": (VARIANTS, None,
+               lambda g, cert, v: (lemma1_cfcn if v == VARIANT_CN else lemma1_cfon)(g, cert)),
+    "approx": (VARIANTS, None, lambda g, cert, v: (
+        approx_cfcn_threshold if v == VARIANT_CN else approx_cfon_threshold)(g, cert)),
+}
+
+
+def _certificate(name: str, g: Graph, rep, args, report: RunReport, smallest):
+    """What strategy `name` runs on, or None when it does not apply.  An
+    explicit lemma1 or approx reads --modulator and reports it; under
+    `auto` each applies when `smallest()` is of its residual class."""
+    if name in ("split", "bipartite", "cograph"):
+        ok, cert = {"split": is_split, "bipartite": is_bipartite, "cograph": is_cograph}[name](g)
+        return cert if ok else None
+    if name == "interval":
+        return rep
+    residual = "cluster" if name == "lemma1" else "threshold"
+    if args.strategy == "auto":
+        m = smallest()
+        return m if m is not None and m.residual_class == residual else None
+    m = _parse_modulator(g, args.modulator, residual, args.budget)
+    report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
+    return m
+
+
+def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOutcome]:
+    """Run the --strategy entry, raising its refusal, or walk the table
+    under `auto`, skipping what does not apply; the oracle comes last."""
+
+    @functools.cache
+    def smallest():  # the smaller modulator, ties prefer cluster; searched once
+        found = (cluster_modulator(g, args.budget), threshold_modulator(g, args.budget))
+        return min((m for m in found if m is not None), key=lambda m: len(m.vertices), default=None)
+
+    if args.strategy in _STRATEGIES:
+        variants, refusal, runner = _STRATEGIES[args.strategy]
+        if args.variant not in variants:
+            raise ValueError(f"the {args.strategy} strategy handles only --variant cn" + (
+                "; the open variant on split graphs is as hard as graph coloring (see gadget)"
+                if args.strategy == "split" else ""))
+        cert = _certificate(args.strategy, g, rep, args, report, smallest)
+        if cert is None:
+            raise ValueError(refusal)
+        return args.strategy, runner(g, cert, args.variant)
+    if args.strategy == "auto":
+        for name, (variants, _, runner) in _STRATEGIES.items():
+            if args.variant in variants:
+                cert = _certificate(name, g, rep, args, report, smallest)
+                if cert is not None:
+                    return name, runner(g, cert, args.variant)
+        if limit is not None and g.n > limit:
+            raise SizeGuardError(
+                f"no polynomial strategy applies and {g.n} vertices exceed the oracle guard ({limit})"
+            )
+    result = exact_cf(g, args.variant, limit=limit)
+    return "oracle", SolveOutcome(result.witness, result.chromatic, EXACT, "exhaustive search")
 
 
 def _cmd_solve(args, report: RunReport) -> int:
@@ -235,8 +275,7 @@ def _cmd_solve(args, report: RunReport) -> int:
         report.add("reason", "an isolated vertex leaves an open neighborhood empty")
         return 1
 
-    strategy = args.strategy
-    if strategy == "fpt":
+    if args.strategy == "fpt":
         if args.k is None:
             raise ValueError("the fpt strategy needs --k")
         m = _parse_modulator(g, args.modulator, "cluster", args.budget)
@@ -257,49 +296,7 @@ def _cmd_solve(args, report: RunReport) -> int:
         )
         return 0
 
-    if strategy == "auto":
-        strategy, outcome = _auto_solve(g, args, rep, limit, report)
-    elif strategy == "bipartite":
-        if args.variant != VARIANT_CN:
-            raise ValueError("the bipartite strategy handles only --variant cn")
-        ok, sides = is_bipartite(g)
-        if not ok:
-            raise ValueError("the graph is not bipartite")
-        outcome = solve_bipartite_cfcn(g, sides)
-    elif strategy == "split":
-        if args.variant != VARIANT_CN:
-            raise ValueError(
-                "the split strategy handles only --variant cn; the open variant "
-                "on split graphs is as hard as graph coloring (see gadget)"
-            )
-        ok, partition = is_split(g)
-        if not ok:
-            raise ValueError("the graph is not split")
-        outcome = solve_split_cfcn(g, partition)
-    elif strategy == "cograph":
-        ok, tree = is_cograph(g)
-        if not ok:
-            raise ValueError("the graph is not a cograph")
-        outcome = solve_cograph(g, tree, args.variant)
-    elif strategy == "interval":
-        if rep is None:
-            raise ValueError("the interval strategy needs --intervals")
-        runner = cfcn_interval if args.variant == VARIANT_CN else cfon_interval
-        outcome = runner(g, rep)
-    elif strategy == "lemma1":
-        m = _parse_modulator(g, args.modulator, "cluster", args.budget)
-        report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
-        runner = lemma1_cfcn if args.variant == VARIANT_CN else lemma1_cfon
-        outcome = runner(g, m)
-    elif strategy == "approx":
-        m = _parse_modulator(g, args.modulator, "threshold", args.budget)
-        report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
-        runner = approx_cfcn_threshold if args.variant == VARIANT_CN else approx_cfon_threshold
-        outcome = runner(g, m)
-    else:  # oracle
-        result = exact_cf(g, args.variant, limit=limit)
-        outcome = SolveOutcome(result.witness, result.chromatic, EXACT, "exhaustive search")
-
+    strategy, outcome = _solve(g, args, rep, limit, report)
     verdict = verify(outcome.coloring, args.variant)
     if not verdict:
         raise SelfCheckError(
@@ -477,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, limit=True, out=True)
     p.add_argument(
         "--strategy",
-        choices=("auto", "bipartite", "split", "cograph", "interval", "lemma1", "fpt", "approx", "oracle"),
+        choices=("auto", *_STRATEGIES, "fpt", "oracle"),
         default="auto",
     )
     p.add_argument("--intervals", help="interval representation file (interval strategy)")

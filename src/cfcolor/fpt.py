@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Graph, connected_components, induced_subgraph
-from .coloring import Coloring, VARIANT_CN, VARIANT_ON, verify
+from .coloring import Coloring, VARIANT_CN, VARIANT_ON, has_unique_color, verify
 from .oracle import DEFAULT_LIMIT, decide_cf, find_unique_coloring
 from .graphclasses import Modulator, validate_modulator
 from .polysolve import (
@@ -240,11 +240,10 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
     kc = kernel_coloring.colors
     for xk in inst.x:
         nb = inst.graph.closed_neighbors(xk) if inst.variant == VARIANT_CN else inst.graph.neighbors(xk)
-        counts = Counter(kc[u] for u in nb)
-        unique = sorted(c for c, cnt in counts.items() if cnt == 1)
-        if not unique:
+        unique = has_unique_color(kernel_coloring, nb)
+        if unique is None:
             raise SelfCheckError("kernel witness leaves a modulator vertex unserved")
-        provider = next(u for u in nb if kc[u] == unique[0])
+        provider = next(u for u in nb if kc[u] == unique)
         orig = inst.kept[provider]
         if orig in rep_of_vertex:
             marked.add(rep_of_vertex[orig])
@@ -313,20 +312,18 @@ def _threshold_base(g: Graph, variant: str) -> SolveOutcome:
     if variant == VARIANT_CN:
         colors = [0] * g.n
         if g.m == 0:
-            return checked_outcome(Coloring(g, tuple(colors)), lambda c: verify(c, variant), EXACT)
+            return checked_outcome(Coloring(g, tuple(colors)), variant, EXACT)
         u = min(range(g.n), key=lambda v: (-g.degree(v), v))
         colors[u] = 1
         # a lone 1 on a maximum-degree vertex sits in every non-trivial
         # closed neighborhood, and 2 colors are necessary once m >= 1
-        return checked_outcome(
-            Coloring(g, tuple(colors)), lambda c: verify(c, variant), EXACT
-        )
+        return checked_outcome(Coloring(g, tuple(colors)), variant, EXACT)
     colors = [0] * g.n
     u = min(range(g.n), key=lambda v: (-g.degree(v), v))
     w = min(v for v in range(g.n) if v != u)
     colors[u] = 1
     colors[w] = 2
-    return checked_outcome(Coloring(g, tuple(colors)), lambda c: verify(c, variant), UPPER_BOUND)
+    return checked_outcome(Coloring(g, tuple(colors)), variant, UPPER_BOUND)
 
 
 def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
@@ -414,10 +411,7 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
             fresh += 1
 
     return checked_outcome(
-        Coloring(g, tuple(colors)),
-        lambda c: verify(c, variant),
-        UPPER_BOUND,
-        note=f"core optimum {kstar}",
+        Coloring(g, tuple(colors)), variant, UPPER_BOUND, note=f"core optimum {kstar}"
     )
 
 

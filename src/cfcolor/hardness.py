@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .graph import Graph
 from .coloring import Coloring, VARIANT_ON, verify_cfon
 from .oracle import DEFAULT_LIMIT, decide_cf
+from .polysolve import SelfCheckError
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ def forward_coloring(inst: GadgetInstance, source: Coloring) -> Coloring:
     colors = list(source.colors) + [k, k + 1]
     colors += [k - 1] * len(inst.independent)
     coloring = Coloring(inst.graph, tuple(colors))
-    assert verify_cfon(coloring), "gadget extension must be conflict-free"
+    if not verify_cfon(coloring):
+        raise SelfCheckError("gadget extension of a proper coloring is not conflict-free")
     return coloring
 
 
@@ -163,7 +165,7 @@ def cross_validate(g: Graph, k: int, limit: int | None = DEFAULT_LIMIT) -> Cross
     inst = encode(g, k)
     source = properly_colorable(g, k)
     if source is not None:
-        forward_coloring(inst, Coloring(g, source))  # asserts conflict-freeness
+        forward_coloring(inst, Coloring(g, source))  # checks conflict-freeness
     gadget_yes, witness = decide_cf(inst.graph, VARIANT_ON, k + 2, limit=limit)
     decoded = decode(inst, witness) if gadget_yes else None
     return CrossReport(inst, source is not None, gadget_yes, decoded)

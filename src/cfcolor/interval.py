@@ -1,18 +1,20 @@
 """Interval graphs given by an explicit representation: validation plus
-the two four-color sweep algorithms.
+one four-color sweep that serves both neighborhood variants.
 
 Endpoints are exact rationals (`fractions.Fraction`); all 2n endpoints
 must be pairwise distinct, and a representation with tied endpoints is
 rejected rather than perturbed.  Intervals are closed, so u ~ v iff
 max(l_u, l_v) <= min(r_u, r_v).
 
-Both sweeps process intervals by increasing left endpoint and color an
+The sweep processes intervals by increasing left endpoint and colors an
 as-yet-uncolored interval together with a chain of at most two
-right-endpoint-maximal neighbors (colors 1, 2, 3), then zero-fill a
+right-endpoint-maximal neighbors (colors 1, 2, 3), then zero-fills a
 window of their neighbors.  Already-colored vertices are never
 overwritten: the explicit assignments only ever target uncolored
 vertices, and the zero-fill skips colored ones.  At most four distinct
-colors (0..3) are ever used.
+colors (0..3) are ever used.  The closed and open variants differ only
+in the connectivity guard and in how the globally rightmost interval is
+colored; `cfcn_interval` and `cfon_interval` name the two.
 
 All tie-breaking is by endpoints, never by vertex id, so permuting
 vertex ids while keeping intervals fixed permutes the output coloring
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, GraphFormatError, is_connected
-from .coloring import Coloring, verify_cfcn, verify_cfon
+from .coloring import VARIANT_CN, VARIANT_ON, Coloring
 from .polysolve import UPPER_BOUND, SolveOutcome, checked_outcome
 
 
@@ -134,130 +136,76 @@ def _max_right_neighbor(g: Graph, rep: IntervalRepresentation, v: int) -> int | 
     return None
 
 
-def cfcn_interval(g: Graph, rep: IntervalRepresentation) -> SolveOutcome:
-    """Left-endpoint sweep for closed neighborhoods; at most 4 colors.
+def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
+    """The left-endpoint sweep shared by both variants; at most 4 colors.
 
     Each uncolored interval in turn receives color 1 and drags along the
     right-endpoint-maximal neighbor (color 2) and, if that is still not
     the globally rightmost interval, its own such neighbor (color 3);
     the zero-fill then blankets the uncolored part of the involved
-    neighborhoods inside the stated endpoint window.
+    neighborhoods inside the stated endpoint window.  Only the guard and
+    the globally rightmost interval depend on the variant.
     """
     _require_valid(g, rep)
-    if g.n < 1 or not is_connected(g):
-        raise ValueError("sweep requires a connected interval graph")
-    n = g.n
-    colors: list[int] = [-1] * n
-    rightmost = max(range(n), key=rep.right)
-    order = sorted(range(n), key=rep.left)
+    if g.n < (1 if variant == VARIANT_CN else 2) or not is_connected(g):
+        raise ValueError(
+            "sweep requires a connected interval graph" if variant == VARIANT_CN
+            else "open-neighborhood sweep requires a connected graph on >= 2 vertices"
+        )
+    colors: list[int] = [-1] * g.n
+    rightmost = max(range(g.n), key=rep.right)
+    order = sorted(range(g.n), key=rep.left)
 
     def fill(vertices, lo_left: Fraction, hi_right: Fraction | None) -> None:
-        for u in sorted(set(vertices)):
-            if colors[u] != -1:
-                continue
-            if rep.left(u) < lo_left:
-                continue
-            if hi_right is not None and rep.right(u) > hi_right:
-                continue
-            colors[u] = 0
+        for u in vertices:
+            if colors[u] == -1 and rep.left(u) >= lo_left and (
+                hi_right is None or rep.right(u) <= hi_right
+            ):
+                colors[u] = 0
 
     for vi in order:
         if colors[vi] != -1:
             continue
         if vi == rightmost:
             colors[vi] = 1
+            if variant == VARIANT_ON:
+                # the intervals contained in vi are its neighbors starting later
+                inner = [u for u in g.neighbors(vi) if rep.left(u) > rep.left(vi)]
+                if not inner:
+                    continue
+                vi2 = min(inner, key=rep.left)
+                if colors[vi2] == -1:
+                    colors[vi2] = 2
             fill(g.neighbors(vi), rep.left(vi), None)
             continue
         vl = _max_right_neighbor(g, rep, vi)
         assert vl is not None, "connected interval graph must have a dominating neighbor"
-        if vl == rightmost:
-            colors[vi] = 1
-            if colors[vl] == -1:
-                colors[vl] = 2
-            fill(set(g.neighbors(vi)) | set(g.neighbors(vl)), rep.left(vi), None)
-        else:
-            vl2 = _max_right_neighbor(g, rep, vl)
-            assert vl2 is not None
-            colors[vi] = 1
-            if colors[vl] == -1:
-                colors[vl] = 2
-            if colors[vl2] == -1:
-                colors[vl2] = 3
-            fill(
-                set(g.neighbors(vi)) | set(g.neighbors(vl)) | set(g.neighbors(vl2)),
-                rep.left(vi),
-                rep.right(vl2),
-            )
+        chain = [vi, vl]
+        if vl != rightmost:
+            chain.append(_max_right_neighbor(g, rep, vl))
+            assert chain[2] is not None
+        for color, u in enumerate(chain, start=1):
+            if colors[u] == -1:
+                colors[u] = color
+        fill(
+            {u for v in chain for u in g.neighbors(v)},
+            rep.left(vi),
+            rep.right(chain[2]) if len(chain) == 3 else None,
+        )
 
-    coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, verify_cfcn, UPPER_BOUND)
+    return checked_outcome(Coloring(g, tuple(colors)), variant, UPPER_BOUND)
+
+
+def cfcn_interval(g: Graph, rep: IntervalRepresentation) -> SolveOutcome:
+    """Sweep for closed neighborhoods: the globally rightmost interval
+    takes color 1 and zero-fills its uncolored neighbors."""
+    return _sweep(g, rep, VARIANT_CN)
 
 
 def cfon_interval(g: Graph, rep: IntervalRepresentation) -> SolveOutcome:
-    """Left-endpoint sweep for open neighborhoods; at most 4 colors.
-
-    Differs from the closed sweep when the current interval is the
-    globally rightmost one: if some other interval is contained in it, a
-    neighbor starting no earlier is colored 2 so that the rightmost
-    interval's own neighborhood keeps a unique color.
-    """
-    _require_valid(g, rep)
-    if g.n < 2 or not is_connected(g):
-        raise ValueError("open-neighborhood sweep requires a connected graph on >= 2 vertices")
-    n = g.n
-    colors: list[int] = [-1] * n
-    rightmost = max(range(n), key=rep.right)
-    order = sorted(range(n), key=rep.left)
-
-    def fill(vertices, lo_left: Fraction, hi_right: Fraction | None) -> None:
-        for u in sorted(set(vertices)):
-            if colors[u] != -1:
-                continue
-            if rep.left(u) < lo_left:
-                continue
-            if hi_right is not None and rep.right(u) > hi_right:
-                continue
-            colors[u] = 0
-
-    for vi in order:
-        if colors[vi] != -1:
-            continue
-        if vi == rightmost:
-            contained = [
-                u for u in range(n)
-                if u != vi and rep.left(u) > rep.left(vi) and rep.right(u) < rep.right(vi)
-            ]
-            if not contained:
-                colors[vi] = 1
-                continue
-            candidates = [u for u in g.neighbors(vi) if rep.left(u) >= rep.left(vi)]
-            assert candidates, "a contained interval is such a neighbor"
-            vi2 = min(candidates, key=rep.left)
-            colors[vi] = 1
-            if colors[vi2] == -1:
-                colors[vi2] = 2
-            fill(g.neighbors(vi), rep.left(vi), None)
-            continue
-        vl = _max_right_neighbor(g, rep, vi)
-        assert vl is not None, "connected interval graph must have a dominating neighbor"
-        if vl == rightmost:
-            colors[vi] = 1
-            if colors[vl] == -1:
-                colors[vl] = 2
-            fill(set(g.neighbors(vl)) | set(g.neighbors(vi)), rep.left(vi), None)
-        else:
-            vl2 = _max_right_neighbor(g, rep, vl)
-            assert vl2 is not None
-            colors[vi] = 1
-            if colors[vl] == -1:
-                colors[vl] = 2
-            if colors[vl2] == -1:
-                colors[vl2] = 3
-            fill(
-                set(g.neighbors(vi)) | set(g.neighbors(vl)) | set(g.neighbors(vl2)),
-                rep.left(vi),
-                rep.right(vl2),
-            )
-
-    coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, verify_cfon, UPPER_BOUND)
+    """Sweep for open neighborhoods: when other intervals lie inside the
+    globally rightmost one, the first of them to start is colored 2 and
+    its other uncolored neighbors 0, so that the rightmost interval's own
+    neighborhood keeps a unique color; with none inside it takes color 1
+    alone."""
+    return _sweep(g, rep, VARIANT_ON)

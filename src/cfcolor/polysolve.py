@@ -21,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, connected_components, induced_subgraph
-from .coloring import (
-    VARIANT_CN,
-    VARIANT_ON,
-    Coloring,
-    verify_cfcn,
-    verify_cfon,
-)
+from .coloring import VARIANT_CN, VARIANT_ON, Coloring, verify
 from .graphclasses import (
     Modulator,
     MDNode,
@@ -54,8 +48,8 @@ class SolveOutcome:
     note: str = ""
 
 
-def checked_outcome(coloring: Coloring, verifier, optimality: str, note: str = "") -> SolveOutcome:
-    verdict = verifier(coloring)
+def checked_outcome(coloring: Coloring, variant: str, optimality: str, note: str = "") -> SolveOutcome:
+    verdict = verify(coloring, variant)
     if not verdict:
         raise SelfCheckError(
             f"internal defect: vertex {verdict.failing_vertex} fails ({verdict.reason})"
@@ -81,7 +75,7 @@ def solve_bipartite_cfcn(g: Graph, bipartition: tuple[tuple[int, ...], tuple[int
     if g.m == 0:
         raise ValueError("bipartite coloring needs at least one edge")
     coloring = Coloring(g, tuple(0 if v in a else 1 for v in range(g.n)))
-    return checked_outcome(coloring, verify_cfcn, EXACT)
+    return checked_outcome(coloring, VARIANT_CN, EXACT)
 
 
 def _split_two_condition(g: Graph, clique: tuple[int, ...], independent: tuple[int, ...]) -> bool:
@@ -142,7 +136,7 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     if universal:
         u = universal[0]
         coloring = Coloring(g, tuple(1 if v == u else 0 for v in range(g.n)))
-        return checked_outcome(coloring, verify_cfcn, EXACT)
+        return checked_outcome(coloring, VARIANT_CN, EXACT)
 
     # probe the canonical maximum-clique partition (recomputed, so a
     # non-canonical input partition cannot weaken the decision)
@@ -152,7 +146,7 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
         if cand_c and _split_two_condition(g, cand_c, cand_i):
             in_c = set(cand_c)
             coloring = Coloring(g, tuple(0 if v in in_c else 1 for v in range(g.n)))
-            return checked_outcome(coloring, verify_cfcn, EXACT)
+            return checked_outcome(coloring, VARIANT_CN, EXACT)
 
     bip, sides = is_bipartite(g)
     if bip:
@@ -160,7 +154,7 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
         a = set(sides[0])
         coloring = Coloring(g, tuple(0 if v in a else 1 for v in range(g.n)))
         return checked_outcome(
-            coloring, verify_cfcn, EXACT, note="triangle-free split graph: side coloring"
+            coloring, VARIANT_CN, EXACT, note="triangle-free split graph: side coloring"
         )
 
     v0 = min(canonical.clique)
@@ -169,7 +163,7 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
         colors[v] = 1
     colors[v0] = 0
     coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, verify_cfcn, EXACT)
+    return checked_outcome(coloring, VARIANT_CN, EXACT)
 
 
 def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
@@ -186,7 +180,7 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
     if g.n == 1:
         if variant == VARIANT_ON:
             raise ValueError("single vertex is isolated: no open-neighborhood coloring")
-        return checked_outcome(Coloring(g, (0,)), verify_cfcn, EXACT)
+        return checked_outcome(Coloring(g, (0,)), VARIANT_CN, EXACT)
     if t.kind != "series":
         raise ValueError("root is not a series node (graph disconnected?)")
 
@@ -195,7 +189,7 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
         if universal:
             u = universal[0]
             coloring = Coloring(g, tuple(1 if v == u else 0 for v in range(g.n)))
-            return checked_outcome(coloring, verify_cfcn, EXACT)
+            return checked_outcome(coloring, VARIANT_CN, EXACT)
 
     first = t.children[0].vertices
     rest = [v for child in t.children[1:] for v in child.vertices]
@@ -203,8 +197,7 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
     colors[min(first)] = 0
     colors[min(rest)] = 1
     coloring = Coloring(g, tuple(colors))
-    verifier = verify_cfcn if variant == VARIANT_CN else verify_cfon
-    return checked_outcome(coloring, verifier, UPPER_BOUND)
+    return checked_outcome(coloring, variant, UPPER_BOUND)
 
 
 def _residual_cliques(g: Graph, x: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -229,7 +222,7 @@ def lemma1_cfcn(g: Graph, m: Modulator) -> SolveOutcome:
         for v in clique[1:]:
             colors[v] = 1
     coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, verify_cfcn, UPPER_BOUND)
+    return checked_outcome(coloring, VARIANT_CN, UPPER_BOUND)
 
 
 def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
@@ -278,4 +271,4 @@ def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
             note = "isolated-clique corner: second recolor with color 2d+2"
 
     coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, verify_cfon, UPPER_BOUND, note=note)
+    return checked_outcome(coloring, VARIANT_ON, UPPER_BOUND, note=note)

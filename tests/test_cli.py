@@ -19,6 +19,9 @@ from cfcolor.polysolve import SolveOutcome
 P4 = "p cf 4 3\ne 0 1\ne 1 2\ne 2 3\n"
 K3 = "p cf 3 3\ne 0 1\ne 0 2\ne 1 2\n"
 C4 = "p cf 4 4\ne 0 1\ne 0 3\ne 1 2\ne 2 3\n"
+C5 = "p cf 5 5\ne 0 1\ne 0 4\ne 1 2\ne 2 3\ne 3 4\n"
+P4_INTERVALS = "i 0 0 2\ni 1 1 4\ni 2 3 6\ni 3 5 7\n"
+GRAPHS = {"P4": P4, "C4": C4, "C5": C5}
 TWO_ISOLATED = "p cf 2 0\n"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,6 +185,29 @@ def test_solve_interval_strategy(tmp_path, capsys):
     assert int(pairs["colors_used"]) <= 4
 
 
+@pytest.mark.parametrize(
+    "strategy,graph,variant",
+    [
+        ("lemma1", "C5", "cn"),
+        ("lemma1", "C5", "on"),
+        ("approx", "P4", "cn"),
+        ("approx", "C5", "on"),
+        ("cograph", "C4", "cn"),
+        ("cograph", "C4", "on"),
+        ("oracle", "P4", "cn"),
+        ("oracle", "C5", "on"),
+    ],
+)
+def test_solve_explicit_strategies(tmp_path, capsys, strategy, graph, variant):
+    g = put(tmp_path, "g.cf", GRAPHS[graph])
+    code, pairs, _ = run(capsys, "solve", "--variant", variant, "--strategy", strategy, g)
+    assert code == 0 and pairs["strategy"] == strategy
+    assert ("modulator" in pairs) == (strategy in ("lemma1", "approx"))
+    coloring = parse_coloring((tmp_path / f"g.{variant}.col").read_text(), parse_graph(GRAPHS[graph]))
+    assert verify(coloring, variant)
+    assert pairs["colors_used"] == str(coloring.num_colors)
+
+
 def test_solve_fpt_decisions(tmp_path, capsys):
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "fpt",
@@ -317,6 +343,34 @@ def test_solver_defect_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_split_cfcn", broken)
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "split", g)
+    assert code == 4 and "re-verification" in pairs["error"]
+
+
+@pytest.mark.parametrize(
+    "solver,graph,variant,strategy",
+    [
+        ("solve_bipartite_cfcn", "C4", "cn", "bipartite"),
+        ("solve_cograph", "C4", "on", "cograph"),
+        ("cfcn_interval", "P4", "cn", "interval"),
+        ("cfon_interval", "P4", "on", "interval"),
+        ("lemma1_cfcn", "C5", "cn", "lemma1"),
+        ("approx_cfon_threshold", "C5", "on", "approx"),
+    ],
+)
+def test_every_strategy_is_looked_up_in_cli(tmp_path, capsys, monkeypatch, solver, graph,
+                                            variant, strategy):
+    # the strategy table must find each solver in the cli module when it
+    # runs: a broken stand-in put there has to reach the re-verification
+    import cfcolor.cli as cli
+
+    def broken(g, *rest):
+        return SolveOutcome(Coloring(g, (0,) * g.n), 1, "exact")
+
+    monkeypatch.setattr(cli, solver, broken)
+    argv = ["solve", "--variant", variant, "--strategy", strategy, put(tmp_path, "g.cf", GRAPHS[graph])]
+    if strategy == "interval":
+        argv += ["--intervals", put(tmp_path, "g.ivl", P4_INTERVALS)]
+    code, pairs, _ = run(capsys, *argv)
     assert code == 4 and "re-verification" in pairs["error"]
 
 

@@ -2,10 +2,12 @@
 
 import pytest
 
+from cfcolor import hardness
 from cfcolor.graph import Graph, SizeGuardError
-from cfcolor.coloring import Coloring, verify_cfon
+from cfcolor.coloring import Coloring, VerifyResult, verify_cfon
 from cfcolor.graphclasses import is_split
 from cfcolor.generators import enumerate_small
+from cfcolor.polysolve import SelfCheckError
 from cfcolor.hardness import (
     CrossReport,
     GadgetInstance,
@@ -92,6 +94,13 @@ def test_forward_errors():
         forward_coloring(inst, Coloring(K3, (0, 1, 3)))
     with pytest.raises(ValueError, match="monochromatic"):
         forward_coloring(inst, Coloring(K3, (0, 1, 1)))
+
+
+def test_forward_rejected_extension_raises(monkeypatch):
+    # an explicit check, so it also holds under `python -O`
+    monkeypatch.setattr(hardness, "verify_cfon", lambda coloring: VerifyResult(False, 0, "rejected"))
+    with pytest.raises(SelfCheckError):
+        forward_coloring(encode(K3, 3), Coloring(K3, (0, 1, 2)))
 
 
 def test_decode_errors():

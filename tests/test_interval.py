@@ -1,5 +1,6 @@
 """Interval representations: parsing, validation, and the 4-color sweeps."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -127,6 +128,17 @@ def test_cfon_sweep_containment():
     rep = rep_of((0, 7), (1, 3), (4, 6))
     out = cfon_interval(g, rep)
     assert out.coloring.colors == (1, 2, 0)
+
+
+def test_sweep_outputs_pinned():
+    # sha256 over repr(colors) of the closed, then the open sweep on 400
+    # seeded instances of 2..61 vertices: any change to a coloring shows
+    h = hashlib.sha256()
+    for s in range(400):
+        g, rep = random_interval_instance(2 + s % 60, s)
+        for sweep in (cfcn_interval, cfon_interval):
+            h.update(repr(sweep(g, rep).coloring.colors).encode())
+    assert h.hexdigest() == "eb319526f440a701f4030ed5805aca87b80ab661afe587ae3edafef466fe22e6"
 
 
 # --- guards ----------------------------------------------------------------
