@@ -141,23 +141,26 @@ def _tree_sexp(node: MDNode) -> str:
     return "(" + " ".join([node.kind] + [_tree_sexp(c) for c in node.children]) + ")"
 
 
-def _parse_modulator(g: Graph, spec: str, residual: str, budget: int) -> Modulator:
+def _parse_modulator(g: Graph, spec: str, residual: str, budget: int, report: RunReport) -> Modulator:
     """`auto` searches within the budget; otherwise a comma-separated
-    vertex list is trusted (the solvers re-validate the residual)."""
+    vertex list is trusted (the solvers re-validate the residual).  The
+    modulator goes into the report."""
     if spec == "auto":
         finder = cluster_modulator if residual == "cluster" else threshold_modulator
         m = finder(g, budget)
         if m is None:
             raise ValueError(f"no {residual} modulator of size <= {budget}")
-        return m
-    try:
-        vertices = tuple(sorted({int(tok) for tok in spec.split(",") if tok.strip()}))
-    except ValueError:
-        raise ValueError(f"modulator must be 'auto' or comma-separated vertices, got {spec!r}")
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"modulator vertex {v} out of range")
-    return Modulator(vertices, residual)
+    else:
+        try:
+            vertices = tuple(sorted({int(tok) for tok in spec.split(",") if tok.strip()}))
+        except ValueError:
+            raise ValueError(f"modulator must be 'auto' or comma-separated vertices, got {spec!r}")
+        for v in vertices:
+            if not 0 <= v < g.n:
+                raise ValueError(f"modulator vertex {v} out of range")
+        m = Modulator(vertices, residual)
+    report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
+    return m
 
 
 # --- subcommands -----------------------------------------------------------
@@ -228,9 +231,7 @@ def _certificate(name: str, g: Graph, rep, args, report: RunReport, smallest):
     if args.strategy == "auto":
         m = smallest()
         return m if m is not None and m.residual_class == residual else None
-    m = _parse_modulator(g, args.modulator, residual, args.budget)
-    report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
-    return m
+    return _parse_modulator(g, args.modulator, residual, args.budget, report)
 
 
 def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOutcome]:
@@ -278,8 +279,7 @@ def _cmd_solve(args, report: RunReport) -> int:
     if args.strategy == "fpt":
         if args.k is None:
             raise ValueError("the fpt strategy needs --k")
-        m = _parse_modulator(g, args.modulator, "cluster", args.budget)
-        report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
+        m = _parse_modulator(g, args.modulator, "cluster", args.budget, report)
         decision = solve_via_kernel(g, m, args.k, args.variant, limit=limit)
         report.add("strategy", "fpt")
         report.add("decision", "yes" if decision.yes else "no")
@@ -359,8 +359,7 @@ def _cmd_modulator(args, report: RunReport) -> int:
 
 def _cmd_kernelize(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
-    m = _parse_modulator(g, args.modulator, "cluster", args.budget)
-    report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
+    m = _parse_modulator(g, args.modulator, "cluster", args.budget, report)
     reducer = reduce_cfcn if args.variant == VARIANT_CN else reduce_cfon
     inst = reducer(g, m, args.k)
     stem = _stem(args)

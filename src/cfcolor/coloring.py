@@ -40,10 +40,6 @@ class Coloring:
                 raise ValueError(f"negative color {c} at vertex {v}")
 
     @property
-    def colors_used(self) -> frozenset[int]:
-        return frozenset(self.colors)
-
-    @property
     def num_colors(self) -> int:
         return len(set(self.colors))
 
@@ -56,6 +52,15 @@ class VerifyResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def neighborhood(g: Graph, v: int, variant: str) -> tuple[int, ...]:
+    """N[v] under the closed variant, N(v) under the open one."""
+    if variant == VARIANT_CN:
+        return g.closed_neighbors(v)
+    if variant == VARIANT_ON:
+        return g.neighbors(v)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def has_unique_color(coloring: Coloring, vertices: Iterable[int]) -> int | None:

@@ -34,16 +34,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, induced_subgraph
-from .coloring import Coloring, VARIANT_CN, VARIANT_ON, has_unique_color, verify
+from .graph import Graph, induced_subgraph
+from .coloring import Coloring, VARIANT_CN, VARIANT_ON, has_unique_color, neighborhood, verify
 from .oracle import DEFAULT_LIMIT, decide_cf, find_unique_coloring
-from .graphclasses import Modulator, validate_modulator
+from .graphclasses import Modulator
 from .polysolve import (
     EXACT,
     UPPER_BOUND,
     SelfCheckError,
     SolveOutcome,
-    _residual_cliques,
+    _residual,
     checked_outcome,
     lemma1_cfcn,
     lemma1_cfon,
@@ -95,12 +95,13 @@ def provenance(inst: KernelInstance) -> list[str]:
     return lines
 
 
-def _check_modulator(g: Graph, m: Modulator, expected: str) -> tuple[int, ...]:
+def _check_modulator(
+    g: Graph, m: Modulator, expected: str
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Sorted X and the components of G-X, for a nonempty g."""
     if g.n == 0:
         raise ValueError("empty graph")
-    if m.residual_class != expected or not validate_modulator(g, m):
-        raise ValueError(f"modulator residual is not a {expected} graph")
-    return tuple(sorted(m.vertices))
+    return _residual(g, m, expected)
 
 
 def _type_mask(g: Graph, x_index: dict[int, int], v: int) -> int:
@@ -134,10 +135,10 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
     class are true twins in g, which is what both reduction rules
     exploit.
     """
-    x = _check_modulator(g, m, "cluster")
+    x, cliques = _check_modulator(g, m, "cluster")
     x_index = {xv: i for i, xv in enumerate(x)}
     out = []
-    for clique in _residual_cliques(g, x):
+    for clique in cliques:
         by_type: dict[int, list[int]] = {}
         for v in clique:  # clique is sorted, so classes stay sorted
             by_type.setdefault(_type_mask(g, x_index, v), []).append(v)
@@ -151,41 +152,35 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
 
 
 def _reduce(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
-    x = _check_modulator(g, m, "cluster")
+    types = compute_types(g, m)  # also checks the modulator
     if k < 1:
         raise ValueError("need k >= 1")
     if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
         raise ValueError("isolated vertex: no open-neighborhood coloring exists")
+    x = tuple(sorted(m.vertices))
     d = len(x)
 
     # above the construction threshold the answer is yes outright
-    if variant == VARIANT_CN and k >= d + 2:
-        sc = lemma1_cfcn(g, m)
-    elif variant == VARIANT_ON and k >= 2 * d + 2:
-        sc = lemma1_cfon(g, m)
-    else:
-        sc = None
-    if sc is not None and sc.colors_used <= k:
-        return KernelInstance(
-            Graph(0), (), k, variant, (), (), (), (), (), short_circuit=sc
-        )
+    if k >= (d + 2 if variant == VARIANT_CN else 2 * d + 2):
+        sc = (lemma1_cfcn if variant == VARIANT_CN else lemma1_cfon)(g, m)
+        if sc.colors_used <= k:
+            return KernelInstance(
+                Graph(0), (), k, variant, (), (), (), (), (), short_circuit=sc
+            )
 
-    x_index = {xv: i for i, xv in enumerate(x)}
     cap = rule1_cap(k, variant)
     deleted_vertices: list[tuple[int, int, int]] = []
     post1: list[tuple[int, ...]] = []
-    for ct in compute_types(g, m):
+    tau: list[tuple[int, MegaType]] = []
+    groups: dict[MegaType, list[tuple[int, ...]]] = {}
+    for ct in types:
         keep: list[int] = []
         for y, members in ct.types:
             keep.extend(members[:cap])
             deleted_vertices.extend((v, ct.clique[0], y) for v in members[cap:])
-        post1.append(tuple(sorted(keep)))
-
-    tau: list[tuple[int, MegaType]] = []
-    groups: dict[MegaType, list[tuple[int, ...]]] = {}
-    for clique in post1:
-        counts = Counter(_type_mask(g, x_index, v) for v in clique)
-        mt: MegaType = tuple(sorted(counts.items()))
+        clique = tuple(sorted(keep))
+        post1.append(clique)
+        mt = ct.vector(cap)  # the kept clique's per-type counts
         tau.append((clique[0], mt))
         groups.setdefault(mt, []).append(clique)
 
@@ -234,12 +229,10 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
     # must not be copied; at most d are marked, and d+1 survivors of each
     # mega-type were kept
     marked: set[int] = set()
-    rep_of_vertex = {
-        v: c[0] for c in inst.cliques_after_rule1 for v in c
-    }
+    rep_of_vertex = {v: c[0] for c in inst.cliques_after_rule1 for v in c}
     kc = kernel_coloring.colors
     for xk in inst.x:
-        nb = inst.graph.closed_neighbors(xk) if inst.variant == VARIANT_CN else inst.graph.neighbors(xk)
+        nb = neighborhood(inst.graph, xk, inst.variant)
         unique = has_unique_color(kernel_coloring, nb)
         if unique is None:
             raise SelfCheckError("kernel witness leaves a modulator vertex unserved")
@@ -309,34 +302,27 @@ def _component_universal(g: Graph, comp: tuple[int, ...]) -> int:
 
 def _threshold_base(g: Graph, variant: str) -> SolveOutcome:
     """The modulator-free case: the graph itself is threshold."""
+    colors = [0] * g.n
+    if variant == VARIANT_CN and g.m == 0:
+        return checked_outcome(Coloring(g, tuple(colors)), variant, EXACT)
+    u = min(range(g.n), key=lambda v: (-g.degree(v), v))
+    colors[u] = 1
     if variant == VARIANT_CN:
-        colors = [0] * g.n
-        if g.m == 0:
-            return checked_outcome(Coloring(g, tuple(colors)), variant, EXACT)
-        u = min(range(g.n), key=lambda v: (-g.degree(v), v))
-        colors[u] = 1
         # a lone 1 on a maximum-degree vertex sits in every non-trivial
         # closed neighborhood, and 2 colors are necessary once m >= 1
         return checked_outcome(Coloring(g, tuple(colors)), variant, EXACT)
-    colors = [0] * g.n
-    u = min(range(g.n), key=lambda v: (-g.degree(v), v))
-    w = min(v for v in range(g.n) if v != u)
-    colors[u] = 1
-    colors[w] = 2
+    colors[min(v for v in range(g.n) if v != u)] = 2
     return checked_outcome(Coloring(g, tuple(colors)), variant, UPPER_BOUND)
 
 
 def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
-    x = _check_modulator(g, m, "threshold")
+    x, comps = _check_modulator(g, m, "threshold")
     if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
         raise ValueError("isolated vertex: no open-neighborhood coloring exists")
     if not x:
         return _threshold_base(g, variant)
     x_index = {xv: i for i, xv in enumerate(x)}
 
-    residual = [v for v in range(g.n) if v not in x_index]
-    sub, _ = induced_subgraph(g, residual)
-    comps = [tuple(residual[i] for i in c) for c in connected_components(sub)]
     singles = [c[0] for c in comps if len(c) == 1]
     bigs = [c for c in comps if len(c) >= 2]
 
@@ -344,58 +330,37 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
     # modulator adjacency plus whether the vertex carries its own
     # singleton-component constraint
     single_set = set(singles)
-    hverts = sorted(set(x) | {u for xv in x for u in g.neighbors(xv)})
     classes: dict[tuple[int, bool], list[int]] = {}
-    for v in hverts:
-        if v in x_index:
-            continue
-        key = (_type_mask(g, x_index, v), v in single_set)
-        classes.setdefault(key, []).append(v)
+    for v in sorted({u for xv in x for u in g.neighbors(xv)} - set(x)):
+        classes.setdefault((_type_mask(g, x_index, v), v in single_set), []).append(v)
 
-    sol = None
-    for k in range(1, g.n + 2):
-        cap = k + 1
+    for kstar in range(1, g.n + 2):
         kept = sorted(
-            set(x) | {v for members in classes.values() for v in members[:cap]}
+            set(x) | {v for members in classes.values() for v in members[: kstar + 1]}
         )
         kept_set = set(kept)
         relabel = {v: i for i, v in enumerate(kept)}
-        csets: list[tuple[int, ...]] = []
-        for xv in x:
-            nb = [u for u in g.neighbors(xv) if u in kept_set]
-            if variant == VARIANT_CN:
-                nb.append(xv)
-            csets.append(tuple(sorted(relabel[u] for u in nb)))
-        for v in singles:
-            if v not in kept_set:
-                continue
-            nb = list(g.neighbors(v))  # entirely inside X
-            if variant == VARIANT_CN:
-                nb.append(v)
-            elif not nb:
-                continue
-            csets.append(tuple(sorted(relabel[u] for u in nb)))
-        witness = find_unique_coloring(len(kept), csets, k)
+        # a singleton's neighborhood lies inside X, so all of it is kept
+        csets = [
+            tuple(relabel[u] for u in neighborhood(g, v, variant) if u in kept_set)
+            for v in (*x, *singles)
+            if v in kept_set
+        ]
+        witness = find_unique_coloring(len(kept), csets, kstar)
         if witness is not None:
-            sol = (k, kept, witness)
             break
-    assert sol is not None, "all-distinct coloring satisfies every constraint"
-    kstar, kept, witness = sol
+    assert witness is not None, "all-distinct coloring satisfies every constraint"
 
     colors = [0] * g.n  # smallest used color fills the unconstrained rest
     for i, v in enumerate(kept):
         colors[v] = witness[i]
-    kept_set = set(kept)
-    need = 2
+    cap = kstar + 1  # the core kept the first cap members of each class
     for members in classes.values():
-        kept_members = [v for v in members if v in kept_set]
-        dropped = [v for v in members if v not in kept_set]
-        if not dropped:
-            continue
-        counts = Counter(colors[v] for v in kept_members)
-        dup = min(c for c, cnt in counts.items() if cnt >= need)
-        for v in dropped:
-            colors[v] = dup
+        if len(members) > cap:
+            counts = Counter(colors[v] for v in members[:cap])
+            dup = min(c for c, cnt in counts.items() if cnt >= 2)
+            for v in members[cap:]:
+                colors[v] = dup
 
     # two residual components each holding an edge would induce a pair of
     # disjoint edges, impossible in a threshold graph

@@ -35,7 +35,6 @@ class GenSpec:
     seed: int
     d: int | None = None
     cliques: tuple[int, ...] | None = None
-    p: float = 0.4
 
 
 @dataclass(frozen=True)

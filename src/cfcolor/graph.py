@@ -193,9 +193,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             raise ValueError(f"vertex {v} not in graph")
     relabel = {v: i for i, v in enumerate(vs)}
     edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u in relabel and v in relabel
+        (i, relabel[u])
+        for i, v in enumerate(vs)
+        for u in g.neighbors(v)
+        if u > v and u in relabel
     ]
     return Graph(len(vs), edges), relabel
 

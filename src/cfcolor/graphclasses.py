@@ -25,6 +25,10 @@ induced subgraph in lexicographic vertex order: P3 (3-way) for cluster,
 P4/C4/2K2 (4-way) for threshold.  Among all hitting sets of size at
 most the budget the minimum-size one with the lexicographically
 smallest sorted vertex tuple is returned.
+
+`residual_components` is the one split of G-X: it checks the residual
+class and returns the components, which the lemma1 constructions, the
+kernel and the threshold approximation all take from it.
 """
 
 from __future__ import annotations
@@ -247,9 +251,6 @@ def _first_induced_p3(g: Graph, removed: set[int]) -> tuple[int, int, int] | Non
     return None
 
 
-_THRESHOLD_OBSTRUCTIONS = ("P4", "C4", "2K2")
-
-
 def _induced_4_obstruction(g: Graph, quad: tuple[int, int, int, int]) -> str | None:
     pairs = [
         (quad[i], quad[j]) for i in range(4) for j in range(i + 1, 4)
@@ -331,11 +332,21 @@ def threshold_modulator(g: Graph, budget: int) -> Modulator | None:
     return _branch_modulator(g, budget, _first_threshold_obstruction, "threshold")
 
 
-def validate_modulator(g: Graph, modulator: Modulator) -> bool:
-    rest = [v for v in range(g.n) if v not in set(modulator.vertices)]
+def residual_components(g: Graph, modulator: Modulator) -> list[tuple[int, ...]] | None:
+    """Components of G-X in original ids, each sorted and ordered by
+    smallest member, when G-X is of the modulator's residual class;
+    None when it is not."""
+    xs = set(modulator.vertices)
+    rest = [v for v in range(g.n) if v not in xs]
     sub, _ = induced_subgraph(g, rest)
     if modulator.residual_class == "cluster":
-        return is_cluster(sub)[0]
-    if modulator.residual_class == "threshold":
-        return is_threshold(sub)[0]
-    raise ValueError(f"unknown residual class {modulator.residual_class!r}")
+        comps = is_cluster(sub)[1]  # the cliques are the components
+    elif modulator.residual_class == "threshold":
+        comps = connected_components(sub) if is_threshold(sub)[0] else None
+    else:
+        raise ValueError(f"unknown residual class {modulator.residual_class!r}")
+    return None if comps is None else [tuple(rest[i] for i in c) for c in comps]
+
+
+def validate_modulator(g: Graph, modulator: Modulator) -> bool:
+    return residual_components(g, modulator) is not None

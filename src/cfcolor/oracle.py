@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, SizeGuardError
-from .coloring import VARIANT_CN, VARIANT_ON, Coloring, verify
+from .coloring import VARIANT_ON, Coloring, neighborhood, verify
 from .polysolve import SelfCheckError
 
 DEFAULT_LIMIT = 16
@@ -183,11 +183,7 @@ def min_unique_coloring(
 
 
 def _neighborhood_constraints(g: Graph, variant: str) -> list[tuple[int, ...]]:
-    if variant == VARIANT_CN:
-        return [g.closed_neighbors(v) for v in range(g.n)]
-    if variant == VARIANT_ON:
-        return [g.neighbors(v) for v in range(g.n)]
-    raise ValueError(f"unknown variant {variant!r}")
+    return [neighborhood(g, v, variant) for v in range(g.n)]
 
 
 def _check_guard(g: Graph, limit: int | None) -> None:

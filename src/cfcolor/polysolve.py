@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph
 from .coloring import VARIANT_CN, VARIANT_ON, Coloring, verify
 from .graphclasses import (
     Modulator,
@@ -29,7 +29,7 @@ from .graphclasses import (
     has_prime_node,
     is_bipartite,
     is_split,
-    validate_modulator,
+    residual_components,
 )
 
 EXACT = "exact"
@@ -200,25 +200,26 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
     return checked_outcome(coloring, variant, UPPER_BOUND)
 
 
-def _residual_cliques(g: Graph, x: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Components of G-X in original vertex ids, smallest member first."""
-    xs = set(x)
-    keep = [v for v in range(g.n) if v not in xs]
-    sub, _ = induced_subgraph(g, keep)
-    return [tuple(keep[i] for i in comp) for comp in connected_components(sub)]
+def _residual(
+    g: Graph, m: Modulator, expected: str
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Sorted X and the components of G-X, once G-X is checked to be an
+    `expected` graph."""
+    comps = residual_components(g, m) if m.residual_class == expected else None
+    if comps is None:
+        raise ValueError(f"modulator residual is not a {expected} graph")
+    return tuple(sorted(m.vertices)), comps
 
 
 def lemma1_cfcn(g: Graph, m: Modulator) -> SolveOutcome:
     """d+2-color closed-neighborhood construction for a cluster
     modulator X: per residual clique its smallest vertex 0 and the rest
     1, plus one private color from {2..d+1} per modulator vertex."""
-    if m.residual_class != "cluster" or not validate_modulator(g, m):
-        raise ValueError("modulator residual is not a cluster graph")
-    x = tuple(sorted(m.vertices))
+    x, cliques = _residual(g, m, "cluster")
     colors = [0] * g.n
     for idx, xv in enumerate(x):
         colors[xv] = 2 + idx
-    for clique in _residual_cliques(g, x):
+    for clique in cliques:
         for v in clique[1:]:
             colors[v] = 1
     coloring = Coloring(g, tuple(colors))
@@ -240,11 +241,9 @@ def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
     exceeds 2d+2 distinct colors only in degenerate cases (d=0 single
     clique uses max(2d+2, 3) = 3) and flags the outcome.
     """
-    if m.residual_class != "cluster" or not validate_modulator(g, m):
-        raise ValueError("modulator residual is not a cluster graph")
+    x, cliques = _residual(g, m, "cluster")
     if any(g.degree(v) == 0 for v in range(g.n)):
         raise ValueError("isolated vertex: no open-neighborhood coloring exists")
-    x = tuple(sorted(m.vertices))
     d = len(x)
     colors = [0] * g.n
     for idx, xv in enumerate(x):
@@ -259,7 +258,7 @@ def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
 
     note = ""
     xs = set(x)
-    for clique in _residual_cliques(g, x):
+    for clique in cliques:
         if any(colors[v] != 0 for v in clique):
             continue
         with_x = [v for v in clique if any(u in xs for u in g.neighbors(v))]

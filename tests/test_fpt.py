@@ -1,5 +1,6 @@
 """Kernelization for cluster modulators and threshold-modulator approximation."""
 
+import hashlib
 import re
 
 import pytest
@@ -208,6 +209,16 @@ def test_approx_modulator_free():
     assert approx_cfon_threshold(Graph(2, [(0, 1)]), m0).coloring.colors == (1, 2)
 
 
+def test_approx_caps_interchangeable_vertices():
+    # five leaves share the center's adjacency class; past the cap of
+    # k+1 = 3 the rest copy a color that already occurs twice
+    m = Modulator((0,), "threshold")
+    cn = approx_cfcn_threshold(STAR6, m)
+    assert cn.coloring.colors == (0, 1, 1, 1, 1, 1) and cn.note == "core optimum 2"
+    on = approx_cfon_threshold(STAR6, m)
+    assert on.coloring.colors == (0, 0, 0, 1, 0, 0) and on.note == "core optimum 2"
+
+
 def test_approx_errors():
     with pytest.raises(ValueError, match="threshold"):
         approx_cfcn_threshold(P4, Modulator((), "threshold"))  # P4 is not threshold
@@ -242,3 +253,41 @@ def test_approx_bounds_random(d):
         if not any(g.degree(v) == 0 for v in range(g.n)):
             on = approx_cfon_threshold(g, m)
             assert on.colors_used <= exact_cf(g, VARIANT_ON, limit=None).chromatic + 2
+
+
+# --- pinned outputs --------------------------------------------------------
+
+def test_kernel_and_approx_outputs_pinned():
+    # sha256 over repr of every kernel decision (answer, witness, note, the
+    # kernel's size, kept/x/deletion records, tau and provenance) or its
+    # ValueError message on 60 planted cluster-modulator instances, all k up
+    # to the constructive threshold, then of both approximations on 60
+    # planted threshold-modulator instances: any change to an output shows
+    h = hashlib.sha256()
+    for s in range(60):
+        g, m = random_cluster_modulator_instance(8 + s % 9, 1 + s % 3, s)
+        d = len(m.vertices)
+        for variant, top in ((VARIANT_CN, d + 2), (VARIANT_ON, 2 * d + 2)):
+            for k in range(1, top + 1):
+                try:
+                    dec = solve_via_kernel(g, m, k, variant, limit=None)
+                except ValueError as exc:
+                    h.update(repr(str(exc)).encode())
+                    continue
+                inst = dec.kernel
+                h.update(repr((
+                    dec.yes, dec.witness.colors if dec.witness else None, dec.note,
+                    inst.graph.n, inst.kept, inst.x, inst.deleted_vertices,
+                    inst.deleted_cliques, inst.cliques_after_rule1, inst.tau,
+                    provenance(inst),
+                )).encode())
+    for s in range(60):
+        g, m = random_threshold_modulator_instance(10 + s % 30, 1 + s % 2, s)
+        for approx in (approx_cfcn_threshold, approx_cfon_threshold):
+            try:
+                out = approx(g, m)
+            except ValueError as exc:
+                h.update(repr(str(exc)).encode())
+                continue
+            h.update(repr((out.coloring.colors, out.optimality, out.note)).encode())
+    assert h.hexdigest() == "9b372fe3be6169d91e340ee60d7b993fba394f2a760f67413ddcc5a7ed7d525d"

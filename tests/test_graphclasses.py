@@ -18,6 +18,7 @@ from cfcolor.graphclasses import (
     modular_decomposition,
     recognize,
     replay_elimination,
+    residual_components,
     threshold_modulator,
     validate_modulator,
 )
@@ -319,6 +320,52 @@ def test_validate_modulator_rejects_wrong_class():
     assert validate_modulator(C4, Modulator((0, 1), "cluster"))
     with pytest.raises(ValueError):
         validate_modulator(C4, Modulator((), "nonsense"))
+
+
+def _brute_residual(n, edges, x, residual_class):
+    """Components of G-X by union-find, and the class by its forbidden
+    induced subgraphs: P3 for cluster; 2K2, P4 and C4 for threshold."""
+    rest = [v for v in range(n) if v not in x]
+    inside = [e for e in edges if e[0] in rest and e[1] in rest]
+    size = 3 if residual_class == "cluster" else 4
+    for sub in itertools.combinations(rest, size):
+        induced = [e for e in inside if e[0] in sub and e[1] in sub]
+        degrees = sorted(sum(v in e for e in induced) for v in sub)
+        if size == 3 and len(induced) == 2:
+            return None
+        if size == 4 and degrees in ([1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 2, 2]):
+            return None
+    root = {v: v for v in rest}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in inside:
+        root[find(u)] = find(v)
+    comps = {}
+    for v in rest:
+        comps.setdefault(find(v), []).append(v)
+    return sorted(tuple(c) for c in comps.values())
+
+
+def test_residual_components_matches_brute_force():
+    # every labeled graph on up to 5 vertices, every X, both classes
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            g = Graph(n, edges)
+            for size in range(n + 1):
+                for x in itertools.combinations(range(n), size):
+                    for residual_class in ("cluster", "threshold"):
+                        got = residual_components(g, Modulator(x, residual_class))
+                        want = _brute_residual(n, edges, x, residual_class)
+                        assert got == want, (n, edges, x, residual_class)
+    assert residual_components(K3, Modulator((0, 1, 2), "cluster")) == []
+    with pytest.raises(ValueError, match="unknown residual class"):
+        residual_components(K3, Modulator((), "nonsense"))
 
 
 def test_recognize_report_bundles_certificates():
