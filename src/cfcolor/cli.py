@@ -11,6 +11,8 @@ written.  Exit codes are uniform across subcommands:
     3  size-guard refusal (instance too large for an exhaustive step)
     4  self-verification failure (a solver or reduction contradicted
        its own checker -- an internal defect, never silent)
+    5  any other exception (an internal defect); the `error:` line
+       names its type and message
 
 `solve` goes through one ordered table of constructive strategies,
 each with the variants it handles, an applicability test and a runner
@@ -19,7 +21,8 @@ that takes the variant.  `--strategy X` runs X's entry and refuses
 order and runs the first entry that applies: split CF-CN, bipartite
 CF-CN, cograph, interval when a representation is supplied, then the
 smaller computed modulator (cluster -> lemma1 few-color bound,
-threshold -> additive approximation; ties prefer cluster); otherwise
+threshold -> additive approximation; ties prefer cluster, so the
+threshold search runs only below the cluster modulator's size); otherwise
 the exact oracle when the instance fits under the guard, otherwise
 refusal.  `fpt` decides rather than constructs and is its own branch.
 """
@@ -219,19 +222,18 @@ _STRATEGIES = {
 
 
 def _certificate(name: str, g: Graph, rep, args, report: RunReport, smallest):
-    """What strategy `name` runs on, or None when it does not apply.  An
-    explicit lemma1 or approx reads --modulator and reports it; under
-    `auto` each applies when `smallest()` is of its residual class."""
+    """Whether strategy `name` applies, and what it runs on.  An explicit
+    lemma1 or approx reads --modulator and reports it; under `auto` each
+    applies when `smallest()` is of its residual class."""
     if name in ("split", "bipartite", "cograph"):
-        ok, cert = {"split": is_split, "bipartite": is_bipartite, "cograph": is_cograph}[name](g)
-        return cert if ok else None
+        return {"split": is_split, "bipartite": is_bipartite, "cograph": is_cograph}[name](g)
     if name == "interval":
-        return rep
+        return rep is not None, rep
     residual = "cluster" if name == "lemma1" else "threshold"
     if args.strategy == "auto":
         m = smallest()
-        return m if m is not None and m.residual_class == residual else None
-    return _parse_modulator(g, args.modulator, residual, args.budget, report)
+        return m is not None and m.residual_class == residual, m
+    return True, _parse_modulator(g, args.modulator, residual, args.budget, report)
 
 
 def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOutcome]:
@@ -240,8 +242,13 @@ def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOut
 
     @functools.cache
     def smallest():  # the smaller modulator, ties prefer cluster; searched once
-        found = (cluster_modulator(g, args.budget), threshold_modulator(g, args.budget))
-        return min((m for m in found if m is not None), key=lambda m: len(m.vertices), default=None)
+        cluster = cluster_modulator(g, args.budget)
+        if cluster is not None and not cluster.vertices:
+            return cluster
+        # only a strictly smaller threshold modulator can win
+        threshold = threshold_modulator(
+            g, args.budget if cluster is None else len(cluster.vertices) - 1)
+        return threshold if threshold is not None else cluster
 
     if args.strategy in _STRATEGIES:
         variants, refusal, runner = _STRATEGIES[args.strategy]
@@ -249,15 +256,15 @@ def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOut
             raise ValueError(f"the {args.strategy} strategy handles only --variant cn" + (
                 "; the open variant on split graphs is as hard as graph coloring (see gadget)"
                 if args.strategy == "split" else ""))
-        cert = _certificate(args.strategy, g, rep, args, report, smallest)
-        if cert is None:
+        ok, cert = _certificate(args.strategy, g, rep, args, report, smallest)
+        if not ok:
             raise ValueError(refusal)
         return args.strategy, runner(g, cert, args.variant)
     if args.strategy == "auto":
         for name, (variants, _, runner) in _STRATEGIES.items():
             if args.variant in variants:
-                cert = _certificate(name, g, rep, args, report, smallest)
-                if cert is not None:
+                ok, cert = _certificate(name, g, rep, args, report, smallest)
+                if ok:
                     return name, runner(g, cert, args.variant)
         if limit is not None and g.n > limit:
             raise SizeGuardError(
@@ -546,6 +553,9 @@ def dispatch(argv: list[str]) -> int:
     except (GraphFormatError, OSError, ValueError) as exc:
         report.add("error", str(exc))
         code = 2
+    except Exception as exc:  # any other failure is a defect, not a NO
+        report.add("error", f"{type(exc).__name__}: {exc}")
+        code = 5
     report.add("time_ms", f"{(time.perf_counter() - start) * 1000:.1f}")
     print(report.render())
     return code

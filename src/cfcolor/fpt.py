@@ -43,10 +43,9 @@ from .polysolve import (
     UPPER_BOUND,
     SelfCheckError,
     SolveOutcome,
+    _lemma1,
     _residual,
     checked_outcome,
-    lemma1_cfcn,
-    lemma1_cfon,
 )
 
 MegaType = tuple[tuple[int, int], ...]
@@ -135,7 +134,12 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
     class are true twins in g, which is what both reduction rules
     exploit.
     """
-    x, cliques = _check_modulator(g, m, "cluster")
+    return _types(g, *_check_modulator(g, m, "cluster"))
+
+
+def _types(
+    g: Graph, x: tuple[int, ...], cliques: list[tuple[int, ...]]
+) -> tuple[CliqueTypes, ...]:
     x_index = {xv: i for i, xv in enumerate(x)}
     out = []
     for clique in cliques:
@@ -152,22 +156,22 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
 
 
 def _reduce(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
-    types = compute_types(g, m)  # also checks the modulator
+    x, cliques = _check_modulator(g, m, "cluster")
     if k < 1:
         raise ValueError("need k >= 1")
     if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
         raise ValueError("isolated vertex: no open-neighborhood coloring exists")
-    x = tuple(sorted(m.vertices))
     d = len(x)
 
     # above the construction threshold the answer is yes outright
     if k >= (d + 2 if variant == VARIANT_CN else 2 * d + 2):
-        sc = (lemma1_cfcn if variant == VARIANT_CN else lemma1_cfon)(g, m)
+        sc = _lemma1(g, x, cliques, variant)
         if sc.colors_used <= k:
             return KernelInstance(
                 Graph(0), (), k, variant, (), (), (), (), (), short_circuit=sc
             )
 
+    types = _types(g, x, cliques)
     cap = rule1_cap(k, variant)
     deleted_vertices: list[tuple[int, int, int]] = []
     post1: list[tuple[int, ...]] = []

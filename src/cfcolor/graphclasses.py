@@ -20,11 +20,15 @@ is, otherwise a Prime node whose children are left as single leaves.
 That is exact on cographs (the only consumers) -- a cograph never
 reaches the Prime case at any level.
 
-Modulators are found by bounded-depth branching on the first forbidden
-induced subgraph in lexicographic vertex order: P3 (3-way) for cluster,
-P4/C4/2K2 (4-way) for threshold.  Among all hitting sets of size at
-most the budget the minimum-size one with the lexicographically
-smallest sorted vertex tuple is returned.
+Modulators are found by bounded-depth branching on a forbidden induced
+subgraph (Cai 1996): P3 (3-way) for cluster, P4/C4/2K2 (4-way) for
+threshold, each taken from a failed linear recognition of G-removed.
+The depth is deepened one step at a time (0, 1, ..., budget), and the
+search stops at the first size that has a hitting set, returning the
+one with the lexicographically smallest sorted vertex tuple.  The
+result does not depend on which obstruction is branched on: from any
+minimum hitting set H, the branch that removes a vertex of H from each
+obstruction ends at the leaf H.
 
 `residual_components` is the one split of G-X: it checks the residual
 class and returns the components, which the lemma1 constructions, the
@@ -237,71 +241,96 @@ def recognize(g: Graph) -> RecognitionReport:
     )
 
 
-def _first_induced_p3(g: Graph, removed: set[int]) -> tuple[int, int, int] | None:
-    """Lexicographically first vertex triple inducing a path on three vertices."""
-    alive = [v for v in range(g.n) if v not in removed]
-    k = len(alive)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                a, b, c = alive[i], alive[j], alive[l]
-                e = g.has_edge(a, b) + g.has_edge(a, c) + g.has_edge(b, c)
-                if e == 2:
-                    return a, b, c
+def _induced_p3(g: Graph, removed: set[int]) -> tuple[int, int, int] | None:
+    """An induced P3 of G-removed, or None when G-removed is a cluster
+    graph.  G-removed is a cluster graph iff every alive vertex is
+    adjacent to the rest of its component; a vertex v that is not has a
+    neighbour u with a neighbour w outside N[v], so u has the two
+    non-adjacent neighbours v and w."""
+    seen = set(removed)
+    for s in range(g.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for v in comp:  # breadth-first: the list grows while it is read
+            for u in g.neighbors(v):
+                if u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        for v in comp:
+            nv = [u for u in g.neighbors(v) if u not in removed]
+            if len(nv) < len(comp) - 1:
+                for u in nv:
+                    for w in g.neighbors(u):
+                        if w != v and w not in removed and not g.has_edge(v, w):
+                            return v, u, w
     return None
 
 
-def _induced_4_obstruction(g: Graph, quad: tuple[int, int, int, int]) -> str | None:
-    pairs = [
-        (quad[i], quad[j]) for i in range(4) for j in range(i + 1, 4)
-    ]
-    present = [p for p in pairs if g.has_edge(*p)]
-    k = len(present)
-    deg = {v: 0 for v in quad}
-    for u, v in present:
-        deg[u] += 1
-        deg[v] += 1
-    counts = sorted(deg.values())
-    if k == 2 and counts == [1, 1, 1, 1]:
-        return "2K2"
-    if k == 3 and counts == [1, 1, 2, 2]:
-        return "P4"
-    if k == 4 and counts == [2, 2, 2, 2]:
-        return "C4"
-    return None
-
-
-def _first_threshold_obstruction(
+def _threshold_obstruction(
     g: Graph, removed: set[int]
 ) -> tuple[int, int, int, int] | None:
+    """An induced P4, C4 or 2K2 of G-removed, or None when G-removed is
+    a threshold graph.
+
+    Strip isolated and universal vertices, lowest and highest degree
+    first.  Stripping a universal vertex lowers every remaining degree
+    by one and stripping an isolated one lowers none, so one sort by
+    degree serves the whole elimination.  Where it gets stuck, the
+    remainder has neither, and two vertices u, v adjacent in its degree
+    order (deg u >= deg v) have non-nested neighbourhoods: if every
+    such pair nested, a neighbour of the lowest-degree vertex would be
+    universal.  Then some b in N(v) - N[u] and a in N(u) - N[v] exist,
+    and {u, a, v, b} induces a 2K2, P4 or C4 by whether uv and ab are
+    edges.
+    """
     alive = [v for v in range(g.n) if v not in removed]
-    k = len(alive)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                for p in range(l + 1, k):
-                    quad = (alive[i], alive[j], alive[l], alive[p])
-                    if _induced_4_obstruction(g, quad) is not None:
-                        return quad
-    return None
+    deg = {v: sum(1 for u in g.neighbors(v) if u not in removed) for v in alive}
+    order = sorted(alive, key=deg.__getitem__)
+    lo, hi, stripped = 0, len(order) - 1, 0  # stripped universal vertices
+    while lo <= hi:
+        if deg[order[lo]] == stripped:
+            lo += 1
+        elif deg[order[hi]] - stripped == hi - lo:
+            hi -= 1
+            stripped += 1
+        else:
+            break
+    if lo > hi:
+        return None
+    rest = set(order[lo:hi + 1])
+    for i in range(hi, lo, -1):
+        u, v = order[i], order[i - 1]
+        b = next((w for w in g.neighbors(v)
+                  if w in rest and w != u and not g.has_edge(u, w)), None)
+        if b is not None:
+            a = next(w for w in g.neighbors(u)
+                     if w in rest and w != v and not g.has_edge(v, w))
+            return u, a, v, b
+    raise AssertionError("a stuck elimination always leaves a non-nested pair")
 
 
 def _branch_modulator(g: Graph, budget: int, finder, residual_class: str) -> Modulator | None:
-    """Bounded-depth branching on forbidden induced subgraphs.
+    """Bounded branching on forbidden induced subgraphs, deepened one
+    size at a time.
 
-    Every inclusion-minimal hitting set of size <= budget appears as a
-    leaf of the branching tree, so taking the best leaf by
-    (size, sorted tuple) yields the minimum-size, lexicographically
-    smallest modulator within the budget.
+    At size s every branch removes one vertex of the obstruction
+    `finder` returns, down to depth s; the first size with a leaf is
+    the minimum, and of its leaves the lexicographically smallest
+    sorted tuple is returned.  Which obstruction is branched on does
+    not matter: from any minimum hitting set H, the branch that picks
+    a vertex of H in each obstruction ends at the leaf H, so the leaves
+    at the minimum size are exactly the minimum hitting sets.
     """
-    best: tuple[int, tuple[int, ...]] | None = None
     removed: set[int] = set()
+    best: tuple[int, ...] | None = None
 
-    def rec(depth_left: int):
+    def rec(depth_left: int) -> None:
         nonlocal best
         obstruction = finder(g, removed)
         if obstruction is None:
-            cand = (len(removed), tuple(sorted(removed)))
+            cand = tuple(sorted(removed))
             if best is None or cand < best:
                 best = cand
             return
@@ -312,24 +341,25 @@ def _branch_modulator(g: Graph, budget: int, finder, residual_class: str) -> Mod
             rec(depth_left - 1)
             removed.remove(v)
 
-    rec(budget)
-    if best is None:
-        return None
-    return Modulator(best[1], residual_class)
+    for size in range(budget + 1):
+        rec(size)
+        if best is not None:
+            return Modulator(best, residual_class)
+    return None
 
 
 def cluster_modulator(g: Graph, budget: int) -> Modulator | None:
     """Vertex set X, |X| <= budget, with G-X a disjoint union of cliques."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _branch_modulator(g, budget, _first_induced_p3, "cluster")
+    return _branch_modulator(g, budget, _induced_p3, "cluster")
 
 
 def threshold_modulator(g: Graph, budget: int) -> Modulator | None:
     """Vertex set X, |X| <= budget, with G-X a threshold graph."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _branch_modulator(g, budget, _first_threshold_obstruction, "threshold")
+    return _branch_modulator(g, budget, _threshold_obstruction, "threshold")
 
 
 def residual_components(g: Graph, modulator: Modulator) -> list[tuple[int, ...]] | None:

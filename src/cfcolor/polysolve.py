@@ -110,7 +110,8 @@ def _split_partition_candidates(g: Graph, p: SplitPartition):
 
 
 def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
-    """Exact 2-vs-3 decision for split graphs with an edge.
+    """Exact 2-vs-3 decision for split graphs with an edge; an edgeless
+    graph takes one color, and the empty graph none.
 
     Case analysis behind the exactness claim (connected, no universal
     vertex): with maximum-clique side C of size >= 3, any valid
@@ -129,8 +130,8 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
         raise ValueError("clique side is not a clique")
     if any(g.has_edge(u, v) for u in p.independent for v in p.independent if u < v):
         raise ValueError("independent side is not independent")
-    if g.m == 0:
-        raise ValueError("split coloring needs at least one edge")
+    if g.m == 0:  # every closed neighborhood is the vertex itself
+        return checked_outcome(Coloring(g, (0,) * g.n), VARIANT_CN, EXACT)
 
     universal = _universal_vertices(g)
     if universal:
@@ -173,10 +174,10 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
     colors and the series root joins them to every vertex, so both
     variants verify.  Not always minimum, hence upper-bound-only
     (except the universal-vertex shortcut for closed neighborhoods)."""
+    if g.n == 0:  # no tree, and nothing to color
+        return checked_outcome(Coloring(g, ()), variant, EXACT)
     if has_prime_node(t):
         raise ValueError("decomposition tree has a prime node (not a cograph)")
-    if g.n == 0:
-        raise ValueError("empty graph")
     if g.n == 1:
         if variant == VARIANT_ON:
             raise ValueError("single vertex is isolated: no open-neighborhood coloring")
@@ -216,14 +217,7 @@ def lemma1_cfcn(g: Graph, m: Modulator) -> SolveOutcome:
     modulator X: per residual clique its smallest vertex 0 and the rest
     1, plus one private color from {2..d+1} per modulator vertex."""
     x, cliques = _residual(g, m, "cluster")
-    colors = [0] * g.n
-    for idx, xv in enumerate(x):
-        colors[xv] = 2 + idx
-    for clique in cliques:
-        for v in clique[1:]:
-            colors[v] = 1
-    coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, VARIANT_CN, UPPER_BOUND)
+    return _lemma1(g, x, cliques, VARIANT_CN)
 
 
 def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
@@ -244,8 +238,24 @@ def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
     x, cliques = _residual(g, m, "cluster")
     if any(g.degree(v) == 0 for v in range(g.n)):
         raise ValueError("isolated vertex: no open-neighborhood coloring exists")
-    d = len(x)
+    return _lemma1(g, x, cliques, VARIANT_ON)
+
+
+def _lemma1(
+    g: Graph, x: tuple[int, ...], cliques: list[tuple[int, ...]], variant: str
+) -> SolveOutcome:
+    """The lemma1_cfcn / lemma1_cfon construction from sorted X and the
+    cliques of G-X, which the caller has checked."""
     colors = [0] * g.n
+    if variant == VARIANT_CN:
+        for idx, xv in enumerate(x):
+            colors[xv] = 2 + idx
+        for clique in cliques:
+            for v in clique[1:]:
+                colors[v] = 1
+        return checked_outcome(Coloring(g, tuple(colors)), VARIANT_CN, UPPER_BOUND)
+
+    d = len(x)
     for idx, xv in enumerate(x):
         colors[xv] = 1 + idx
 

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies for graph-shaped test data."""
+"""Shared hypothesis strategies and seeded families for graph-shaped test data."""
 
 from __future__ import annotations
 
@@ -7,6 +7,11 @@ import itertools
 from hypothesis import strategies as st
 
 from cfcolor.graph import Graph
+from cfcolor.generators import (
+    random_cluster_modulator_instance,
+    random_graph,
+    random_threshold_modulator_instance,
+)
 
 
 @st.composite
@@ -27,3 +32,13 @@ def colored_graphs(draw, min_n: int = 1, max_n: int = 8):
         st.lists(st.integers(0, max(1, g.n)), min_size=g.n, max_size=g.n)
     )
     return g, tuple(colors)
+
+
+def modulator_pin_graphs():
+    """The 120 seeded graphs whose modulators and solve lines are pinned:
+    planted cluster modulators (n 8-12, d 1-3), planted threshold
+    modulators (n 8-12, d 1-2) and G(n, 0.4) (n 6-10)."""
+    for s in range(40):
+        yield random_cluster_modulator_instance(8 + s % 5, 1 + s % 3, s)[0]
+        yield random_threshold_modulator_instance(8 + s % 5, 1 + s % 2, s)[0]
+        yield random_graph(6 + s % 5, 0.4, s)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report shape, artifacts."""
 
+import hashlib
 import os
 import re
 import shutil
@@ -12,9 +13,11 @@ import pytest
 from cfcolor.cli import dispatch
 from cfcolor.coloring import Coloring, parse_coloring, verify
 from cfcolor.fpt import provenance, reduce_cfcn
-from cfcolor.graph import Graph, parse_graph
+from cfcolor.graph import Graph, parse_graph, write_graph
 from cfcolor.graphclasses import Modulator
 from cfcolor.polysolve import SolveOutcome
+
+from strategies import modulator_pin_graphs
 
 P4 = "p cf 4 3\ne 0 1\ne 1 2\ne 2 3\n"
 K3 = "p cf 3 3\ne 0 1\ne 0 2\ne 1 2\n"
@@ -344,6 +347,52 @@ def test_solver_defect_exits_4(tmp_path, capsys, monkeypatch):
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "split", g)
     assert code == 4 and "re-verification" in pairs["error"]
+
+
+def test_uncaught_exception_exits_5(tmp_path, capsys, monkeypatch):
+    # a crash is an internal defect: its own exit code and an error line,
+    # never a traceback that exits 1, the code for NO
+    import cfcolor.cli as cli
+
+    def crashing(g, partition):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(cli, "solve_split_cfcn", crashing)
+    g = put(tmp_path, "p4.cf", P4)
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", g)
+    assert code == 5 and pairs["error"] == "RuntimeError: solver crashed"
+    assert "time_ms" in pairs
+
+
+@pytest.mark.parametrize("text", ["p cf 1 0\n", "p cf 3 0\n"])
+def test_solve_edgeless_cn(tmp_path, capsys, text):
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", put(tmp_path, "e.cf", text))
+    assert code == 0 and pairs["strategy"] == "split"
+    assert pairs["colors_used"] == "1" and pairs["optimality"] == "exact"
+
+
+@pytest.mark.parametrize("variant", ["cn", "on"])
+def test_solve_empty_graph_as_cograph(tmp_path, capsys, variant):
+    g = put(tmp_path, "empty.cf", "p cf 0 0\n")
+    code, pairs, _ = run(capsys, "solve", "--variant", variant, "--strategy", "cograph", g)
+    assert code == 0 and pairs["colors_used"] == "0" and pairs["optimality"] == "exact"
+
+
+def test_solve_modulator_lines_pinned(tmp_path, capsys):
+    # sha256 over the strategy: and modulator: lines of auto (both
+    # variants) and of explicit lemma1 and approx solves, as computed
+    # before the modulator search stopped at the smallest size
+    h = hashlib.sha256()
+    path = tmp_path / "g.cf"
+    for g in modulator_pin_graphs():
+        path.write_text(write_graph(g))
+        for argv in (["--variant", "cn"], ["--variant", "on"],
+                     ["--variant", "cn", "--strategy", "lemma1"],
+                     ["--variant", "cn", "--strategy", "approx"]):
+            _, _, out = run(capsys, "solve", *argv, str(path))
+            lines = [l for l in out.splitlines() if l.startswith(("strategy:", "modulator:"))]
+            h.update(repr(lines).encode())
+    assert h.hexdigest() == "01f1ab5d1139bd4c406c2a4f7b67acc77b33594e0633552938143bacf8c52206"
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,23 @@ def test_short_circuit_above_threshold():
     assert dec.yes and dec.witness.colors == (0, 1, 1)
 
 
+def test_short_circuit_checks_the_modulator_once(monkeypatch):
+    # the short circuit builds its coloring from the cliques the modulator
+    # check returned, and computes no types it would not read
+    import cfcolor.fpt as fpt
+    import cfcolor.polysolve as polysolve
+
+    calls = []
+    check = polysolve.residual_components
+    monkeypatch.setattr(polysolve, "residual_components",
+                        lambda g, m: calls.append(m) or check(g, m))
+    monkeypatch.setattr(fpt, "_types", None)
+    for reduce in (reduce_cfcn, reduce_cfon):
+        calls.clear()
+        inst = reduce(STAR6, Modulator((0,), "cluster"), 4)
+        assert inst.short_circuit is not None and len(calls) == 1
+
+
 def test_open_short_circuit_guard():
     # k = 2d+2 = 2 does not cover the lone-clique repair, which needs 3
     assert reduce_cfon(K3, Modulator((), "cluster"), 2).short_circuit is None

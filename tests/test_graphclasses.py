@@ -1,5 +1,6 @@
 """Recognizers, certificates, modular decomposition, and modulators."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from cfcolor.graph import Graph, induced_subgraph
 from cfcolor.graphclasses import (
     Modulator,
+    _induced_p3,
+    _threshold_obstruction,
     cluster_modulator,
     has_prime_node,
     is_bipartite,
@@ -22,9 +25,14 @@ from cfcolor.graphclasses import (
     threshold_modulator,
     validate_modulator,
 )
-from cfcolor.generators import enumerate_small, _plain_levels, _levels_up_to
+from cfcolor.generators import (
+    _levels_up_to,
+    _plain_levels,
+    enumerate_small,
+    random_threshold_modulator_instance,
+)
 
-from strategies import graphs
+from strategies import graphs, modulator_pin_graphs
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -366,6 +374,50 @@ def test_residual_components_matches_brute_force():
     assert residual_components(K3, Modulator((0, 1, 2), "cluster")) == []
     with pytest.raises(ValueError, match="unknown residual class"):
         residual_components(K3, Modulator((), "nonsense"))
+
+
+def test_obstruction_finders_match_brute_force():
+    # every labeled graph on up to 5 vertices and every removed set: a
+    # finder answers None exactly when G-removed is in its class, and
+    # otherwise an induced P3 (cluster) or 2K2/P4/C4 (threshold) of
+    # vertices that are still there
+    shapes = {3: ([1, 1, 2],), 4: ([1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 2, 2])}
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            g = Graph(n, edges)
+            for size in range(n + 1):
+                for x in itertools.combinations(range(n), size):
+                    for finder, residual_class in ((_induced_p3, "cluster"),
+                                                   (_threshold_obstruction, "threshold")):
+                        found = finder(g, set(x))
+                        in_class = _brute_residual(n, edges, x, residual_class) is not None
+                        assert (found is None) == in_class, (n, edges, x, residual_class)
+                        if found is None:
+                            continue
+                        assert len(found) == (3 if residual_class == "cluster" else 4)
+                        assert len(set(found)) == len(found) and not set(found) & set(x)
+                        degrees = sorted(sum(g.has_edge(u, v) for v in found if v != u)
+                                         for u in found)
+                        assert degrees in shapes[len(found)], (n, edges, x, found)
+
+
+def test_modulators_pinned():
+    # sha256 over both modulators at budget 6, as computed by the
+    # exhaustive branching that preceded the deepening search
+    h = hashlib.sha256()
+    for g in modulator_pin_graphs():
+        h.update(repr((cluster_modulator(g, 6), threshold_modulator(g, 6))).encode())
+    assert h.hexdigest() == "7d503d86a366ce87b25c6201095cf69680346d882b8643a6c63a1af0442cb3a2"
+
+
+def test_threshold_modulator_at_n40():
+    # the exhaustive branching took minutes here; the planted pair is the
+    # lexicographically smallest minimum modulator
+    g, planted = random_threshold_modulator_instance(40, 2, 1)
+    assert planted.vertices == (38, 39)
+    assert threshold_modulator(g, 6) == Modulator((38, 39), "threshold")
 
 
 def test_recognize_report_bundles_certificates():

@@ -117,8 +117,23 @@ def test_split_rejects_bad_input():
         solve_split_cfcn(K3, SplitPartition((0,), (1, 2)))
     with pytest.raises(ValueError, match="cover the vertex set"):
         solve_split_cfcn(P3, SplitPartition((1,), (0,)))
-    with pytest.raises(ValueError, match="at least one edge"):
-        solve_split_cfcn(Graph(2, []), SplitPartition((0,), (1,)))
+    # an edgeless graph is not refused: one color is exact
+    out = solve_split_cfcn(Graph(2, []), SplitPartition((0,), (1,)))
+    assert out.coloring.colors == (0, 0) and out.optimality == EXACT
+
+
+def test_split_edgeless_and_empty():
+    for n in (1, 3):
+        out = solve_split_cfcn(Graph(n), is_split(Graph(n))[1])
+        assert out.colors_used == 1 and out.optimality == EXACT
+    empty = solve_split_cfcn(Graph(0), SplitPartition((), ()))
+    assert empty.coloring.colors == () and empty.colors_used == 0
+
+
+def test_cograph_empty_graph():
+    for variant in (VARIANT_CN, VARIANT_ON):
+        out = solve_cograph(Graph(0), is_cograph(Graph(0))[1], variant)
+        assert out.coloring.colors == () and out.optimality == EXACT
 
 
 def test_split_matches_oracle_exhaustive_small():
