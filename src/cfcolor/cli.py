@@ -139,9 +139,21 @@ def _limit(value: int) -> int | None:
 
 
 def _tree_sexp(node: MDNode) -> str:
-    if node.kind == "leaf":
-        return str(node.vertex)
-    return "(" + " ".join([node.kind] + [_tree_sexp(c) for c in node.children]) + ")"
+    """`(kind child ...)` with leaves as vertex ids, written without
+    recursion: a cotree can be about n/2 levels deep."""
+    tokens: list[str] = []
+    stack: list[MDNode | None] = [node]  # None closes the innermost node
+    while stack:
+        item = stack.pop()
+        if item is None:
+            tokens[-1] += ")"
+        elif item.kind == "leaf":
+            tokens.append(str(item.vertex))
+        else:
+            tokens.append("(" + item.kind)
+            stack.append(None)
+            stack.extend(reversed(item.children))
+    return " ".join(tokens)
 
 
 def _parse_modulator(g: Graph, spec: str, residual: str, budget: int, report: RunReport) -> Modulator:
@@ -446,7 +458,9 @@ def _cmd_gen(args, report: RunReport) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="cfcolor",
         description="conflict-free graph coloring: verify, solve, kernelize, reduce",

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .graph import Graph, connected_components, is_connected
 from .coloring import Coloring
 from .graphclasses import Modulator, SplitPartition, is_split
-from .interval import IntervalRepresentation
+from .interval import IntervalRepresentation, graph_from_representation
 
 
 @dataclass(frozen=True)
@@ -146,13 +146,7 @@ def random_interval_instance(n: int, seed: int) -> tuple[Graph, IntervalRepresen
             intervals[v] = (Fraction(starts[v]), Fraction(pt))
     assert not open_stack and next_vertex == n
     rep = IntervalRepresentation(tuple(intervals))  # type: ignore[arg-type]
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if max(rep.left(u), rep.left(v)) <= min(rep.right(u), rep.right(v))
-    ]
-    g = Graph(n, edges)
+    g = graph_from_representation(rep)
     assert is_connected(g)
     return g, rep
 

@@ -14,11 +14,20 @@ split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, in which case the m
 vertices of largest degree (ties broken by smaller id) form a maximum
 clique and the rest are independent.
 
-The modular decomposition is the simplified recursive one: a Parallel
-node when the graph is disconnected, a Series node when the complement
+The modular decomposition is the simplified top-down one: a Parallel
+node when the module is disconnected, a Series node when its complement
 is, otherwise a Prime node whose children are left as single leaves.
 That is exact on cographs (the only consumers) -- a cograph never
-reaches the Prime case at any level.
+reaches the Prime case at any level.  It works on vertex sets of the
+input graph and builds no complement or induced subgraph: components
+come from a breadth-first search inside the module, co-components from
+a search over the still-unvisited vertices in which each look either
+reaches a vertex or is paid for by an edge.  Below a parallel node
+only the complement can split a module, and below a series node only
+the module itself, so each module takes one search.  A module is split
+in O(size + its edges), and a work list replaces recursion, because a
+threshold graph's cotree is about n/2 levels deep.  Each level
+rescans its module's edges, so deep cotrees cost up to O(n (n + m)).
 
 Modulators are found by bounded-depth branching on a forbidden induced
 subgraph (Cai 1996): P3 (3-way) for cluster, P4/C4/2K2 (4-way) for
@@ -40,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, complement, connected_components, induced_subgraph
+from .graph import Graph, connected_components, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,13 @@ def is_cluster(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
     return True, tuple(comps)
 
 
+def neighbours_inside(g: Graph, vertices, inside: set[int]) -> list[int]:
+    """For each vertex of `vertices`, how many of its neighbours lie in
+    `inside`: O(sum of their degrees), so a clique or independence
+    check over a set costs O(n + m) rather than a test per pair."""
+    return [sum(1 for u in g.neighbors(v) if u in inside) for v in vertices]
+
+
 def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
     if g.n == 0:
         return True, SplitPartition((), ())
@@ -124,12 +140,10 @@ def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
     clique = tuple(sorted(v for _, v in degs[:m]))
     independent = tuple(sorted(v for _, v in degs[m:]))
     # the characterization guarantees this partition is valid; check anyway
-    for i, u in enumerate(clique):
-        for w in clique[i + 1:]:
-            assert g.has_edge(u, w), "degree characterization produced a non-clique"
-    for i, u in enumerate(independent):
-        for w in independent[i + 1:]:
-            assert not g.has_edge(u, w), "degree characterization produced a non-stable set"
+    assert all(k == m - 1 for k in neighbours_inside(g, clique, set(clique))), \
+        "degree characterization produced a non-clique"
+    assert not any(neighbours_inside(g, independent, set(independent))), \
+        "degree characterization produced a non-stable set"
     return True, SplitPartition(clique, independent)
 
 
@@ -172,37 +186,98 @@ def replay_elimination(n: int, order: tuple[tuple[int, str], ...]) -> Graph:
     return Graph(n, edges)
 
 
-def modular_decomposition(g: Graph) -> MDNode:
-    def build(vertices: tuple[int, ...], sub: Graph, relabel_back: dict[int, int]) -> MDNode:
-        if len(vertices) == 1:
-            return MDNode("leaf", vertices)
-        comps = connected_components(sub)
-        if len(comps) > 1:
-            kind = "parallel"
-        else:
-            comps = connected_components(complement(sub))
-            kind = "series" if len(comps) > 1 else "prime"
-        if kind == "prime":
-            children = tuple(MDNode("leaf", (v,)) for v in vertices)
-            return MDNode("prime", vertices, children)
-        children = []
-        for comp in comps:
-            orig = tuple(sorted(relabel_back[v] for v in comp))
-            csub, relabel = induced_subgraph(sub, comp)
-            back = {new: relabel_back[old] for old, new in relabel.items()}
-            children.append(build(orig, csub, back))
-        children.sort(key=lambda node: node.vertices[0])
-        return MDNode(kind, vertices, tuple(children))
+def _components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple[int, ...]]:
+    """Components of the module, each sorted, ordered by smallest member;
+    adj[v] holds v's neighbours inside the module."""
+    rest = set(vertices)
+    comps = []
+    for s in vertices:
+        if s not in rest:
+            continue
+        rest.remove(s)
+        comp = [s]
+        for v in comp:  # breadth-first: the list grows while it is read
+            reached = rest.intersection(adj[v])
+            rest -= reached
+            comp.extend(reached)
+        comps.append(tuple(sorted(comp)))
+    return comps
 
+
+def _co_components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple[int, ...]]:
+    """Components of the module's complement, in the same form, by a
+    breadth-first search over the unvisited vertices: each vertex it
+    looks at is either reached (a non-neighbour) or stays unvisited
+    because it is a neighbour, so one pop costs O(1 + its degree)."""
+    unvisited = set(vertices)
+    comps = []
+    for s in vertices:
+        if s not in unvisited:
+            continue
+        unvisited.remove(s)
+        comp = [s]
+        for v in comp:
+            if not unvisited:
+                break
+            kept = unvisited.intersection(adj[v])
+            comp.extend(unvisited - kept)
+            unvisited = kept
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def modular_decomposition(g: Graph) -> MDNode:
     if g.n == 0:
         raise ValueError("modular decomposition of the empty graph is undefined")
-    return build(tuple(range(g.n)), g, {v: v for v in range(g.n)})
+    # adj[v] holds v's neighbours inside the module being split; the
+    # modules waiting to be split are disjoint, so one list serves all,
+    # and a series split trims each set once, to v's own co-component
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    modules = [tuple(range(g.n))]  # parents before children
+    above: list[str | None] = [None]  # the kind of each module's parent
+    kinds: list[str] = []
+    kids: list[range] = []
+    for i, vertices in enumerate(modules):  # the list grows while it is read
+        # a component is connected and a co-component co-connected, so
+        # below a parallel node only the complement can split, and below
+        # a series node only the module itself
+        parts: list[tuple[int, ...]] = []
+        if len(vertices) == 1:
+            kind = "leaf"
+        else:
+            kind = "prime"
+            if above[i] != "parallel":
+                parts = _components(vertices, adj)
+                kind = "parallel" if len(parts) > 1 else kind
+            if kind == "prime" and above[i] != "series":
+                parts = _co_components(vertices, adj)
+                kind = "series" if len(parts) > 1 else kind
+            if kind == "prime":
+                parts = [(v,) for v in vertices]
+            elif kind == "series":  # a co-component keeps its own neighbours
+                for part in parts:
+                    if len(part) > 1:
+                        inside = set(part)
+                        for v in part:
+                            adj[v] &= inside
+        above.extend([kind] * len(parts))
+        kinds.append(kind)
+        kids.append(range(len(modules), len(modules) + len(parts)))
+        modules.extend(parts)
+    nodes: list[MDNode] = [None] * len(modules)  # type: ignore[list-item]
+    for i in reversed(range(len(modules))):
+        nodes[i] = MDNode(kinds[i], modules[i], tuple(nodes[j] for j in kids[i]))
+    return nodes[0]
 
 
 def has_prime_node(node: MDNode) -> bool:
-    if node.kind == "prime":
-        return True
-    return any(has_prime_node(c) for c in node.children)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.kind == "prime":
+            return True
+        stack.extend(node.children)
+    return False
 
 
 def is_cograph(g: Graph) -> tuple[bool, MDNode | None]:

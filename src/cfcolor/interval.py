@@ -6,6 +6,13 @@ must be pairwise distinct, and a representation with tied endpoints is
 rejected rather than perturbed.  Intervals are closed, so u ~ v iff
 max(l_u, l_v) <= min(r_u, r_v).
 
+Validation finds the intersecting pairs by one sweep over the sorted
+endpoints: at each left endpoint, the intervals still open are exactly
+the new interval's partners.  That costs O(n log n) plus the number of
+pairs, instead of comparing all n^2 pairs.  The representation is valid
+iff those pairs are the graph's edges; otherwise the verdict names the
+lexicographically smallest pair on which they differ.
+
 The sweep processes intervals by increasing left endpoint and colors an
 as-yet-uncolored interval together with a chain of at most two
 right-endpoint-maximal neighbors (colors 1, 2, 3), then zero-fills a
@@ -90,12 +97,29 @@ def write_intervals(rep: IntervalRepresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _intersect(rep: IntervalRepresentation, u: int, v: int) -> bool:
-    return max(rep.left(u), rep.left(v)) <= min(rep.right(u), rep.right(v))
+def _intersecting_pairs(rep: IntervalRepresentation) -> set[tuple[int, int]]:
+    """Every (u, v), u < v, whose closed intervals meet, by one sweep
+    over the sorted endpoints.  At a left endpoint the intervals still
+    open are exactly the ones that meet the new interval, so the sweep
+    costs O(n log n) plus the number of pairs.  At a tie left endpoints
+    come first, so intervals that touch meet; an interval with l > r
+    meets nothing."""
+    events = sorted((x, side, v) for v, (l, r) in enumerate(rep.intervals) if l <= r
+                    for side, x in ((0, l), (1, r)))
+    open_: set[int] = set()
+    pairs: set[tuple[int, int]] = set()
+    for _, side, v in events:
+        if side:
+            open_.remove(v)
+        else:
+            pairs.update((u, v) if u < v else (v, u) for u in open_)
+            open_.add(v)
+    return pairs
 
 
 def validate_representation(g: Graph, rep: IntervalRepresentation) -> RepresentationVerdict:
-    """Endpoints distinct, l < r per interval, and intersections match g."""
+    """Endpoints distinct, l < r per interval, and intersections match g;
+    a mismatch names the lexicographically smallest mismatched pair."""
     if rep.n != g.n:
         return RepresentationVerdict(False, f"{rep.n} intervals for {g.n} vertices")
     endpoints: list[Fraction] = []
@@ -105,18 +129,17 @@ def validate_representation(g: Graph, rep: IntervalRepresentation) -> Representa
         endpoints.extend((l, r))
     if len(set(endpoints)) != len(endpoints):
         return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            meets = _intersect(rep, u, v)
-            if meets != g.has_edge(u, v):
-                kind = "intersect without an edge" if meets else "share an edge but do not intersect"
-                return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
-    return RepresentationVerdict(True)
+    meets = _intersecting_pairs(rep)
+    spurious = [p for p in meets if not g.has_edge(*p)]
+    if not spurious and len(meets) == g.m:
+        return RepresentationVerdict(True)
+    u, v = min(spurious + [e for e in g.edges if e not in meets])
+    kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
+    return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
 
 
 def graph_from_representation(rep: IntervalRepresentation) -> Graph:
-    n = rep.n
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if _intersect(rep, u, v)])
+    return Graph(rep.n, _intersecting_pairs(rep))
 
 
 def _require_valid(g: Graph, rep: IntervalRepresentation) -> None:

@@ -29,6 +29,7 @@ from .graphclasses import (
     has_prime_node,
     is_bipartite,
     is_split,
+    neighbours_inside,
     residual_components,
 )
 
@@ -78,37 +79,6 @@ def solve_bipartite_cfcn(g: Graph, bipartition: tuple[tuple[int, ...], tuple[int
     return checked_outcome(coloring, VARIANT_CN, EXACT)
 
 
-def _split_two_condition(g: Graph, clique: tuple[int, ...], independent: tuple[int, ...]) -> bool:
-    """A clique-0 / independent-1 coloring works iff the clique is a
-    single vertex or every clique vertex has exactly one independent
-    neighbor."""
-    if len(clique) == 1:
-        return True
-    iset = set(independent)
-    return all(sum(1 for u in g.neighbors(v) if u in iset) == 1 for v in clique)
-
-
-def _split_partition_candidates(g: Graph, p: SplitPartition):
-    """The canonical partition plus every valid single-vertex swap."""
-    c, i = list(p.clique), list(p.independent)
-    cset, iset = set(c), set(i)
-    yield tuple(c), tuple(i)
-    for v in c:
-        if not any(u in iset for u in g.neighbors(v)):
-            yield tuple(x for x in c if x != v), tuple(sorted(i + [v]))
-    for w in i:
-        if all(g.has_edge(w, v) for v in c):
-            yield tuple(sorted(c + [w])), tuple(x for x in i if x != w)
-    for v in c:
-        rest_c = [x for x in c if x != v]
-        for w in i:
-            rest_i = [x for x in i if x != w]
-            if all(g.has_edge(w, x) for x in rest_c) and not any(
-                u in iset and u != w for u in g.neighbors(v)
-            ):
-                yield tuple(sorted(rest_c + [w])), tuple(sorted(rest_i + [v]))
-
-
 def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     """Exact 2-vs-3 decision for split graphs with an edge; an edgeless
     graph takes one color, and the empty graph none.
@@ -122,13 +92,27 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     bipartite, and the side coloring gives 2.  Otherwise 3 colors are
     always enough: one clique vertex 0, the rest of the clique 1, the
     independent side 2.
+
+    The 2-coloring test reads counts.  A clique-0 / independent-1
+    coloring of a partition (C', I') works iff |C'| = 1 or every vertex
+    of C' has exactly one neighbour in I'.  With ci[v] the number of
+    independent neighbours of v in the canonical (C, I): (C, I) works
+    iff |C| = 1 or every ci is 1.  Moving a v with ci[v] = 0 to the
+    independent side adds v to every other clique vertex's count, so
+    (C - v, I + v) works iff |C| = 2 or every ci is 0; the first such v
+    is taken.  No other single-vertex move can win.  A w in I adjacent
+    to all of C does not exist, C being maximum.  Swapping v in C with
+    a w in I adjacent to all of C - v leaves w with no neighbour on the
+    new independent side (it is not adjacent to v, again because C is
+    maximum), so that works only when the new clique is {w} alone,
+    i.e. |C| = 1, where (C, I) already works.
     """
     cset, iset = set(p.clique), set(p.independent)
     if cset & iset or (cset | iset) != set(range(g.n)):
         raise ValueError("partition must cover the vertex set exactly once")
-    if any(not g.has_edge(u, v) for u in p.clique for v in p.clique if u < v):
+    if any(k != len(cset) - 1 for k in neighbours_inside(g, cset, cset)):
         raise ValueError("clique side is not a clique")
-    if any(g.has_edge(u, v) for u in p.independent for v in p.independent if u < v):
+    if any(neighbours_inside(g, iset, iset)):
         raise ValueError("independent side is not independent")
     if g.m == 0:  # every closed neighborhood is the vertex itself
         return checked_outcome(Coloring(g, (0,) * g.n), VARIANT_CN, EXACT)
@@ -143,11 +127,17 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     # non-canonical input partition cannot weaken the decision)
     ok, canonical = is_split(g)
     assert ok and canonical is not None
-    for cand_c, cand_i in _split_partition_candidates(g, canonical):
-        if cand_c and _split_two_condition(g, cand_c, cand_i):
-            in_c = set(cand_c)
-            coloring = Coloring(g, tuple(0 if v in in_c else 1 for v in range(g.n)))
-            return checked_outcome(coloring, VARIANT_CN, EXACT)
+    c = canonical.clique
+    ci = neighbours_inside(g, c, set(canonical.independent))
+    zeros = ci.count(0)
+    zero_side = None  # the clique side of a partition whose 2-coloring works
+    if len(c) == 1 or ci.count(1) == len(c):
+        zero_side = set(c)
+    elif zeros and (len(c) == 2 or zeros == len(c)):
+        zero_side = set(c) - {c[ci.index(0)]}
+    if zero_side is not None:
+        coloring = Coloring(g, tuple(0 if v in zero_side else 1 for v in range(g.n)))
+        return checked_outcome(coloring, VARIANT_CN, EXACT)
 
     bip, sides = is_bipartite(g)
     if bip:

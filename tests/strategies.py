@@ -1,8 +1,10 @@
-"""Shared hypothesis strategies and seeded families for graph-shaped test data."""
+"""Shared hypothesis strategies, seeded families of graph-shaped test data,
+and small test helpers."""
 
 from __future__ import annotations
 
 import itertools
+import sys
 
 from hypothesis import strategies as st
 
@@ -42,3 +44,21 @@ def modulator_pin_graphs():
         yield random_cluster_modulator_instance(8 + s % 5, 1 + s % 3, s)[0]
         yield random_threshold_modulator_instance(8 + s % 5, 1 + s % 2, s)[0]
         yield random_graph(6 + s % 5, 0.4, s)
+
+
+def labeled_graphs(max_n: int):
+    """Every labeled graph on 1..max_n vertices, edge sets in bitmask
+    order over the sorted vertex pairs."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack, for tests that lower the recursion
+    limit to just above it."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth

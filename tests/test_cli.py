@@ -10,14 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from cfcolor.cli import dispatch
+import cfcolor
+from cfcolor.cli import build_parser, dispatch
 from cfcolor.coloring import Coloring, parse_coloring, verify
 from cfcolor.fpt import provenance, reduce_cfcn
+from cfcolor.generators import random_threshold
 from cfcolor.graph import Graph, parse_graph, write_graph
-from cfcolor.graphclasses import Modulator
+from cfcolor.graphclasses import Modulator, is_cograph
 from cfcolor.polysolve import SolveOutcome
 
-from strategies import modulator_pin_graphs
+from strategies import modulator_pin_graphs, stack_depth
 
 P4 = "p cf 4 3\ne 0 1\ne 1 2\ne 2 3\n"
 K3 = "p cf 3 3\ne 0 1\ne 0 2\ne 1 2\n"
@@ -242,6 +244,60 @@ def test_recognize_certificates(tmp_path, capsys):
     assert pairs["bipartition_left"] == "0 2"
     assert pairs["cograph"] == "no"
     assert "prime" in pairs["cograph_tree"]
+
+
+def _sexp_reference(node):
+    if node.kind == "leaf":
+        return str(node.vertex)
+    return "(" + " ".join([node.kind] + [_sexp_reference(c) for c in node.children]) + ")"
+
+
+def test_recognize_deep_cotree_without_recursion(tmp_path, capsys):
+    # the cotree of a random threshold graph on 400 vertices is about
+    # 200 levels deep; recognize must print it with 100 frames to spare
+    g = random_threshold(400, 1)[0]
+    want = _sexp_reference(is_cograph(g)[1])
+    path = put(tmp_path, "t.cf", write_graph(g))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        code = dispatch(["recognize", path])
+    finally:
+        sys.setrecursionlimit(old)
+    pairs = dict(line.partition(": ")[::2] for line in capsys.readouterr().out.splitlines())
+    assert code == 0 and pairs["cograph"] == "yes"
+    assert pairs["cograph_tree"] == want
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_dispatch_in_process_matches_fresh_processes(tmp_path, capsys):
+    # the cached parser must carry nothing from one call to the next
+    g = put(tmp_path, "c5.cf", C5)
+    calls = [
+        ["solve", "--variant", "on", "--strategy", "lemma1", "--modulator", "0,2", "--limit", "3", g],
+        ["solve", "--variant", "cn", g],
+        ["recognize", g],
+        ["solve", "--variant", "cn", "--strategy", "split", g],
+    ]
+
+    def report(out):
+        return [line for line in out.splitlines() if not line.startswith("time_ms:")]
+
+    in_process = []
+    for argv in calls:
+        code = dispatch(argv)
+        in_process.append((code, report(capsys.readouterr().out)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cfcolor.__file__).resolve().parent.parent))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-c", "from cfcolor.cli import main; main()", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        fresh.append((proc.returncode, report(proc.stdout)))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0, 2]
 
 
 def test_modulator_found_and_missing(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +30,11 @@ from cfcolor.generators import (
     _levels_up_to,
     _plain_levels,
     enumerate_small,
+    random_threshold,
     random_threshold_modulator_instance,
 )
 
-from strategies import graphs, modulator_pin_graphs
+from strategies import graphs, labeled_graphs, modulator_pin_graphs, stack_depth
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -251,6 +253,50 @@ def test_md_structure_and_cograph_equivalence():
         assert sorted(t.vertices) == list(range(g.n))
         _check_md_node(g, t)
         assert is_cograph(g)[0] == (not has_prime_node(t))
+
+
+def test_md_trees_pinned():
+    # sha256 over repr(tree) on every labeled graph with at most 6
+    # vertices and on 10 seeded threshold graphs each of 30, 60 and 100
+    # vertices, as computed by the decomposition that built a complement
+    # graph and an induced subgraph per level
+    h = hashlib.sha256()
+    for g in labeled_graphs(6):
+        h.update(repr(modular_decomposition(g)).encode())
+    assert h.hexdigest() == "6d5e6b4a07fc664fca947e215d18efa7b37a364547a466da43fde02a4049ca4d"
+    h = hashlib.sha256()
+    for n in (30, 60, 100):
+        for s in range(10):
+            h.update(repr(modular_decomposition(random_threshold(n, s)[0])).encode())
+    assert h.hexdigest() == "b3e0820b465767131ea0bd7de3a948398729408b77d9459d7ae79e962adccbed"
+
+
+def test_deep_cotree_without_recursion():
+    # a random threshold graph's cotree is about n/2 levels deep: 400
+    # vertices give a tree far deeper than the 100 frames allowed here
+    g = random_threshold(400, 1)[0]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        ok, tree = is_cograph(g)
+        prime = has_prime_node(tree)
+    finally:
+        sys.setrecursionlimit(old)
+    assert ok and not prime
+    # walked by hand: MDNode's == and repr recurse
+    stack, deepest = [(0, tree)], 0
+    while stack:
+        depth, node = stack.pop()
+        deepest = max(deepest, depth)
+        if node.kind == "leaf":
+            continue
+        assert node.kind in ("series", "parallel")
+        assert sorted(v for c in node.children for v in c.vertices) == list(node.vertices)
+        firsts = [c.vertices[0] for c in node.children]
+        assert firsts == sorted(firsts) and len(firsts) >= 2
+        assert all(c.kind != node.kind for c in node.children)
+        stack.extend((depth + 1, c) for c in node.children)
+    assert deepest > 150
 
 
 # --- modulators ------------------------------------------------------------

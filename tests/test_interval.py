@@ -13,6 +13,7 @@ from cfcolor.oracle import exact_cf
 from cfcolor.polysolve import UPPER_BOUND
 from cfcolor.interval import (
     IntervalRepresentation,
+    RepresentationVerdict,
     cfcn_interval,
     cfon_interval,
     graph_from_representation,
@@ -94,6 +95,86 @@ def test_validate_tied_and_degenerate_endpoints():
 def test_graph_from_representation():
     assert graph_from_representation(P4_REP) == P4
     assert graph_from_representation(K3_REP) == K3
+
+
+def _pairwise_verdict(g, rep):
+    """Reference: the O(n^2) definition, every pair in lexicographic
+    order, first mismatch reported."""
+    if rep.n != g.n:
+        return RepresentationVerdict(False, f"{rep.n} intervals for {g.n} vertices")
+    for v, (l, r) in enumerate(rep.intervals):
+        if not l < r:
+            return RepresentationVerdict(False, f"interval of vertex {v} has l >= r")
+    endpoints = [x for pair in rep.intervals for x in pair]
+    if len(set(endpoints)) != len(endpoints):
+        return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
+    truth = _pairwise_graph(rep)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            meets = truth.has_edge(u, v)
+            if meets != g.has_edge(u, v):
+                kind = "intersect without an edge" if meets else "share an edge but do not intersect"
+                return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
+    return RepresentationVerdict(True)
+
+
+def _pairwise_graph(rep):
+    n = rep.n
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if max(rep.left(u), rep.left(v)) <= min(rep.right(u), rep.right(v))])
+
+
+def _perturbed(g, s):
+    """g, g with one edge dropped, g with one non-edge added, and g with
+    both, the pairs picked by s."""
+    edges = list(g.edges)
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    drop = edges[s % len(edges)] if edges else None
+    add = [non_edges[s % len(non_edges)]] if non_edges else []
+    kept = [e for e in edges if e != drop]
+    return g, Graph(g.n, kept), Graph(g.n, edges + add), Graph(g.n, kept + add)
+
+
+def test_validate_verdicts_pinned():
+    # sha256 over (ok, reason, pair) on 300 seeded representations of
+    # 2..61 vertices against four graphs each (see _perturbed), as
+    # computed by the pairwise check that preceded the sweep
+    h = hashlib.sha256()
+    for s in range(300):
+        g, rep = random_interval_instance(2 + s % 60, s)
+        for graph in _perturbed(g, s):
+            verdict = validate_representation(graph, rep)
+            h.update(repr((verdict.ok, verdict.reason, verdict.pair)).encode())
+    assert h.hexdigest() == "4da35555793cc137fba79d1242a44beeff1cb0a3a2af51d446305f339b28c5ee"
+
+
+def _random_rep(n, rng):
+    """n intervals on 2n distinct random rationals, paired at random:
+    nested, overlapping and disjoint intervals all occur."""
+    points = set()
+    while len(points) < 2 * n:
+        points.add(Fraction(rng.randint(-50, 50), rng.randint(1, 7)))
+    points = list(points)
+    rng.shuffle(points)
+    return IntervalRepresentation(
+        tuple((min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])))
+
+
+@given(st.integers(1, 30), st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_sweep_matches_pairwise_reference(n, seed):
+    rng = random.Random(seed)
+    rep = _random_rep(n, rng)
+    truth = graph_from_representation(rep)
+    assert truth == _pairwise_graph(rep)
+    # touching, point-like and reversed intervals too
+    rough = rep_of(*((rng.randint(0, 9), rng.randint(0, 9)) for _ in range(n)))
+    assert graph_from_representation(rough) == _pairwise_graph(rough)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flipped = set(rng.sample(pairs, min(len(pairs), rng.randint(1, 6))))
+    noisy = Graph(n, [p for p in pairs if truth.has_edge(*p) != (p in flipped)])
+    for graph in (truth, noisy, Graph(n, [p for p in pairs if rng.random() < 0.5])):
+        assert validate_representation(graph, rep) == _pairwise_verdict(graph, rep)
 
 
 # --- frozen sweep traces ---------------------------------------------------

@@ -1,5 +1,7 @@
 """Constructive solvers: bipartite, split 2-vs-3, cograph, modulator bounds."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,7 +28,10 @@ from cfcolor.polysolve import (
 from cfcolor.generators import (
     enumerate_small,
     random_cluster_modulator_instance,
+    random_split,
 )
+
+from strategies import labeled_graphs
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -153,6 +158,27 @@ def test_split_probe_ignores_noncanonical_partition():
         solve_split_cfcn(g, alt)  # (1,4) is an edge inside the claimed independent side
     alt2 = SplitPartition((0, 1), (2, 3, 4))
     assert solve_split_cfcn(g, alt2).colors_used == 2
+
+
+def test_split_outcomes_pinned():
+    # sha256 over (colors, optimality, note) on every labeled split graph
+    # with at most 6 vertices, then on 300 seeded random_split graphs of
+    # 1..14 vertices with their generator partitions, as computed by the
+    # candidate-partition scan that preceded the counting rule
+    h = hashlib.sha256()
+    count = 0
+    for g in labeled_graphs(6):
+        ok, part = is_split(g)
+        if ok:
+            count += 1
+            out = solve_split_cfcn(g, part)
+            h.update(repr((out.coloring.colors, out.optimality, out.note)).encode())
+    assert count == 10355
+    for s in range(300):
+        g, part = random_split(1 + s % 14, s)
+        out = solve_split_cfcn(g, part)
+        h.update(repr((out.coloring.colors, out.optimality, out.note)).encode())
+    assert h.hexdigest() == "ef10347da401e5bab201e6456eb7398d400e57bbfe9142f226377975d05bf351"
 
 
 # --- cograph ---------------------------------------------------------------
