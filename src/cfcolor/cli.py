@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import sys
 import time
 from dataclasses import dataclass, field
@@ -74,9 +75,8 @@ from .fpt import (
     approx_cfcn_threshold,
     approx_cfon_threshold,
     kernel_size_bound,
+    kernelize,
     provenance,
-    reduce_cfcn,
-    reduce_cfon,
     solve_via_kernel,
 )
 from .hardness import cross_validate, encode
@@ -98,29 +98,27 @@ class RunReport:
         return "\n".join(f"{key}: {value}" for key, value in self.lines)
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_input(path_str: str, key: str, report: RunReport) -> str:
+    """The file's text, decoded as `Path.read_text` does (locale
+    encoding, universal newlines), from the same bytes its reported
+    sha256 is taken of: the file is read once."""
+    path = Path(path_str)
+    data = path.read_bytes()
+    text = io.TextIOWrapper(io.BytesIO(data)).read()
+    report.add(key, f"{path} sha256={hashlib.sha256(data).hexdigest()}")
+    return text
 
 
 def _load_graph(path_str: str, report: RunReport) -> Graph:
-    path = Path(path_str)
-    text = path.read_text()
-    report.add("input_graph", f"{path} sha256={_digest(path)}")
-    return parse_graph(text)
+    return parse_graph(_read_input(path_str, "input_graph", report))
 
 
 def _load_coloring(path_str: str, g: Graph, report: RunReport) -> Coloring:
-    path = Path(path_str)
-    text = path.read_text()
-    report.add("input_coloring", f"{path} sha256={_digest(path)}")
-    return parse_coloring(text, g)
+    return parse_coloring(_read_input(path_str, "input_coloring", report), g)
 
 
 def _load_intervals(path_str: str, g: Graph, report: RunReport):
-    path = Path(path_str)
-    text = path.read_text()
-    report.add("input_intervals", f"{path} sha256={_digest(path)}")
-    return parse_intervals(text, g.n)
+    return parse_intervals(_read_input(path_str, "input_intervals", report), g.n)
 
 
 def _emit(path: Path, text: str, report: RunReport, key: str) -> None:
@@ -379,8 +377,7 @@ def _cmd_modulator(args, report: RunReport) -> int:
 def _cmd_kernelize(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
     m = _parse_modulator(g, args.modulator, "cluster", args.budget, report)
-    reducer = reduce_cfcn if args.variant == VARIANT_CN else reduce_cfon
-    inst = reducer(g, m, args.k)
+    inst = kernelize(g, m, args.k, args.variant)
     stem = _stem(args)
     report.add("kernel_vertices", inst.graph.n)
     report.add("kernel_edges", inst.graph.m)

@@ -63,21 +63,30 @@ def neighborhood(g: Graph, v: int, variant: str) -> tuple[int, ...]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _unique_colors(
+    colors: tuple[int, ...], vertices: Iterable[int], own: int | None = None
+) -> list[int]:
+    """The colors occurring exactly once among `vertices` plus, when
+    given, the vertex `own`: N[v] is counted as N(v) and v itself,
+    without building the closed neighborhood."""
+    counts: dict[int, int] = {} if own is None else {colors[own]: 1}
+    for v in vertices:
+        c = colors[v]
+        counts[c] = counts.get(c, 0) + 1
+    return [c for c, k in counts.items() if k == 1]
+
+
 def has_unique_color(coloring: Coloring, vertices: Iterable[int]) -> int | None:
     """Smallest color appearing exactly once among `vertices`, else None."""
-    counts: dict[int, int] = {}
-    for v in vertices:
-        c = coloring.colors[v]
-        counts[c] = counts.get(c, 0) + 1
-    unique = [c for c, k in counts.items() if k == 1]
+    unique = _unique_colors(coloring.colors, vertices)
     return min(unique) if unique else None
 
 
 def verify_cfcn(coloring: Coloring) -> VerifyResult:
     """Accept iff every closed neighborhood has a uniquely occurring color."""
-    g = coloring.graph
+    g, colors = coloring.graph, coloring.colors
     for v in range(g.n):
-        if has_unique_color(coloring, g.closed_neighbors(v)) is None:
+        if not _unique_colors(colors, g.neighbors(v), v):
             return VerifyResult(False, v, f"no unique color in N[{v}]")
     return VerifyResult(True)
 
@@ -88,12 +97,12 @@ def verify_cfon(coloring: Coloring) -> VerifyResult:
     An isolated vertex is rejected outright: its open neighborhood is
     empty and cannot contain a unique color.
     """
-    g = coloring.graph
+    g, colors = coloring.graph, coloring.colors
     for v in range(g.n):
         nb = g.neighbors(v)
         if not nb:
             return VerifyResult(False, v, f"vertex {v} is isolated, N({v}) is empty")
-        if has_unique_color(coloring, nb) is None:
+        if not _unique_colors(colors, nb):
             return VerifyResult(False, v, f"no unique color in N({v})")
     return VerifyResult(True)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .graph import Graph, induced_subgraph
 from .coloring import Coloring, VARIANT_CN, VARIANT_ON, has_unique_color, neighborhood, verify
 from .oracle import DEFAULT_LIMIT, decide_cf, find_unique_coloring
-from .graphclasses import Modulator
+from .graphclasses import Modulator, neighbours_inside
 from .polysolve import (
     EXACT,
     UPPER_BOUND,
@@ -155,7 +155,9 @@ def _types(
     return tuple(out)
 
 
-def _reduce(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
+def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
+    """The kernel of (g, k) for the cluster modulator m under `variant`,
+    or a short-circuit witness when k reaches the lemma1 bound."""
     x, cliques = _check_modulator(g, m, "cluster")
     if k < 1:
         raise ValueError("need k >= 1")
@@ -210,11 +212,11 @@ def _reduce(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
 
 
 def reduce_cfcn(g: Graph, m: Modulator, k: int) -> KernelInstance:
-    return _reduce(g, m, k, VARIANT_CN)
+    return kernelize(g, m, k, VARIANT_CN)
 
 
 def reduce_cfon(g: Graph, m: Modulator, k: int) -> KernelInstance:
-    return _reduce(g, m, k, VARIANT_ON)
+    return kernelize(g, m, k, VARIANT_ON)
 
 
 def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring:
@@ -273,7 +275,7 @@ def solve_via_kernel(
     limit: int | None = DEFAULT_LIMIT,
 ) -> KernelDecision:
     """Decide k-colorability through the kernel and lift any witness."""
-    inst = _reduce(g, m, k, variant)
+    inst = kernelize(g, m, k, variant)
     if inst.short_circuit is not None:
         return KernelDecision(
             True,
@@ -298,8 +300,8 @@ def solve_via_kernel(
 def _component_universal(g: Graph, comp: tuple[int, ...]) -> int:
     """Smallest member adjacent to all others; exists in any connected
     threshold graph."""
-    for v in comp:
-        if all(g.has_edge(v, u) for u in comp if u != v):
+    for v, k in zip(comp, neighbours_inside(g, comp, set(comp))):
+        if k == len(comp) - 1:
             return v
     raise SelfCheckError("residual component has no universal vertex")
 

@@ -17,8 +17,8 @@ self-loops are a hard error.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
+from bisect import bisect_right
+from typing import Iterable, Iterator
 
 
 class GraphFormatError(ValueError):
@@ -57,6 +57,18 @@ class Graph:
         self.n = n
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self._edges = frozenset(pairs)
+
+    @classmethod
+    def _trusted(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph from neighbour tuples that are already sorted,
+        symmetric, in range and free of self-loops, checking none of it:
+        for callers whose own checks or construction guarantee that."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g._adj = adj
+        g._edges = frozenset(
+            (v, u) for v, nb in enumerate(adj) for u in nb[bisect_right(nb, v):])
+        return g
 
     @property
     def m(self) -> int:
@@ -109,10 +121,9 @@ def parse_graph(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
             continue
-        fields = line.split()
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError("duplicate problem header", lineno)
@@ -145,7 +156,13 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError("missing 'p cf' header")
     if edge_lines != m:
         raise GraphFormatError(f"header declares {m} edges but found {edge_lines} edge lines")
-    return Graph(n, edges)
+    # every edge line was checked above, so the trusted constructor
+    # only has to collapse duplicates and sort
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph._trusted(tuple(tuple(sorted(nb)) for nb in adj))
 
 
 def write_graph(g: Graph, comment: str | None = None) -> str:
@@ -160,25 +177,29 @@ def write_graph(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Maximal connected vertex sets, each sorted, ordered by smallest member."""
+def components_avoiding(g: Graph, removed: set[int]) -> Iterator[list[int]]:
+    """The components of G-removed, one at a time, each in breadth-first
+    order from its smallest member, smallest first; no subgraph is
+    built."""
     seen = [False] * g.n
-    comps = []
+    for v in removed:
+        seen[v] = True
     for s in range(g.n):
         if seen[s]:
             continue
         seen[s] = True
         comp = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        for v in comp:  # breadth-first: the list grows while it is read
             for u in g.neighbors(v):
                 if not seen[u]:
                     seen[u] = True
                     comp.append(u)
-                    queue.append(u)
-        comps.append(tuple(sorted(comp)))
-    return comps
+        yield comp
+
+
+def connected_components(g: Graph) -> list[tuple[int, ...]]:
+    """Maximal connected vertex sets, each sorted, ordered by smallest member."""
+    return [tuple(sorted(comp)) for comp in components_avoiding(g, set())]
 
 
 def is_connected(g: Graph) -> bool:
@@ -192,13 +213,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} not in graph")
     relabel = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (i, relabel[u])
-        for i, v in enumerate(vs)
-        for u in g.neighbors(v)
-        if u > v and u in relabel
-    ]
-    return Graph(len(vs), edges), relabel
+    # the relabeling preserves order, so each neighbour tuple stays sorted
+    adj = tuple(
+        tuple(relabel[u] for u in g.neighbors(v) if u in relabel) for v in vs)
+    return Graph._trusted(adj), relabel
 
 
 def complement(g: Graph) -> Graph:

@@ -41,7 +41,12 @@ obstruction ends at the leaf H.
 
 `residual_components` is the one split of G-X: it checks the residual
 class and returns the components, which the lemma1 constructions, the
-kernel and the threshold approximation all take from it.
+kernel and the threshold approximation all take from it.  It works on
+vertex sets of the input graph, as the modulator search does: the
+class check is the search's own obstruction finder, which returns None
+exactly when G-X is in the class, and the components come from one
+breadth-first search that skips X.  Both take O(n + m) time, apart
+from the threshold finder's sort by degree, and build no subgraph.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, connected_components, induced_subgraph
+from .graph import Graph, components_avoiding, connected_components
 
 
 @dataclass(frozen=True)
@@ -322,17 +327,7 @@ def _induced_p3(g: Graph, removed: set[int]) -> tuple[int, int, int] | None:
     adjacent to the rest of its component; a vertex v that is not has a
     neighbour u with a neighbour w outside N[v], so u has the two
     non-adjacent neighbours v and w."""
-    seen = set(removed)
-    for s in range(g.n):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        for v in comp:  # breadth-first: the list grows while it is read
-            for u in g.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
+    for comp in components_avoiding(g, removed):
         for v in comp:
             nv = [u for u in g.neighbors(v) if u not in removed]
             if len(nv) < len(comp) - 1:
@@ -386,18 +381,22 @@ def _threshold_obstruction(
     raise AssertionError("a stuck elimination always leaves a non-nested pair")
 
 
-def _branch_modulator(g: Graph, budget: int, finder, residual_class: str) -> Modulator | None:
+_OBSTRUCTION_FINDERS = {"cluster": _induced_p3, "threshold": _threshold_obstruction}
+
+
+def _branch_modulator(g: Graph, budget: int, residual_class: str) -> Modulator | None:
     """Bounded branching on forbidden induced subgraphs, deepened one
     size at a time.
 
-    At size s every branch removes one vertex of the obstruction
-    `finder` returns, down to depth s; the first size with a leaf is
-    the minimum, and of its leaves the lexicographically smallest
-    sorted tuple is returned.  Which obstruction is branched on does
+    At size s every branch removes one vertex of the obstruction that
+    the class's finder returns, down to depth s; the first size with a
+    leaf is the minimum, and of its leaves the lexicographically
+    smallest sorted tuple is returned.  Which obstruction is branched on does
     not matter: from any minimum hitting set H, the branch that picks
     a vertex of H in each obstruction ends at the leaf H, so the leaves
     at the minimum size are exactly the minimum hitting sets.
     """
+    finder = _OBSTRUCTION_FINDERS[residual_class]
     removed: set[int] = set()
     best: tuple[int, ...] | None = None
 
@@ -427,30 +426,27 @@ def cluster_modulator(g: Graph, budget: int) -> Modulator | None:
     """Vertex set X, |X| <= budget, with G-X a disjoint union of cliques."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _branch_modulator(g, budget, _induced_p3, "cluster")
+    return _branch_modulator(g, budget, "cluster")
 
 
 def threshold_modulator(g: Graph, budget: int) -> Modulator | None:
     """Vertex set X, |X| <= budget, with G-X a threshold graph."""
     if budget < 0:
         raise ValueError("budget must be non-negative")
-    return _branch_modulator(g, budget, _threshold_obstruction, "threshold")
+    return _branch_modulator(g, budget, "threshold")
 
 
 def residual_components(g: Graph, modulator: Modulator) -> list[tuple[int, ...]] | None:
     """Components of G-X in original ids, each sorted and ordered by
     smallest member, when G-X is of the modulator's residual class;
     None when it is not."""
-    xs = set(modulator.vertices)
-    rest = [v for v in range(g.n) if v not in xs]
-    sub, _ = induced_subgraph(g, rest)
-    if modulator.residual_class == "cluster":
-        comps = is_cluster(sub)[1]  # the cliques are the components
-    elif modulator.residual_class == "threshold":
-        comps = connected_components(sub) if is_threshold(sub)[0] else None
-    else:
+    finder = _OBSTRUCTION_FINDERS.get(modulator.residual_class)
+    if finder is None:
         raise ValueError(f"unknown residual class {modulator.residual_class!r}")
-    return None if comps is None else [tuple(rest[i] for i in c) for c in comps]
+    xs = set(modulator.vertices)
+    if finder(g, xs) is not None:
+        return None
+    return [tuple(sorted(comp)) for comp in components_avoiding(g, xs)]
 
 
 def validate_modulator(g: Graph, modulator: Modulator) -> bool:

@@ -70,6 +70,50 @@ def test_report_is_key_value_lines(tmp_path, capsys):
     assert float(pairs["time_ms"]) >= 0
 
 
+def test_reported_digest_is_of_the_parsed_bytes(tmp_path, capsys, monkeypatch):
+    # each input file is rewritten right after its first read, as by a
+    # concurrent writer: the sha256 in the report must still describe
+    # the bytes that were parsed, so each file is read once
+    originals = {
+        "p4.cf": P4.replace("\n", "\r\n").encode(),  # CRLF decodes as read_text does
+        "p4.ivl": P4_INTERVALS.encode(),
+        "p4.col": b"v 0 0\nv 1 1\nv 2 1\nv 3 0\n",
+    }
+    later = {"p4.cf": C4, "p4.ivl": "i 0 0 1\ni 1 2 3\ni 2 4 5\ni 3 6 7\n",
+             "p4.col": "v 0 0\nv 1 0\nv 2 0\nv 3 0\n"}
+    paths = {}
+    for name, data in originals.items():
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(data)
+    for method in ("read_bytes", "read_text"):
+        original = getattr(Path, method)
+
+        def read_then_rewrite(self, *args, _original=original, **kwargs):
+            out = _original(self, *args, **kwargs)
+            if self.name in later:
+                self.write_text(later.pop(self.name))
+            return out
+
+        monkeypatch.setattr(Path, method, read_then_rewrite)
+
+    def digest(name):
+        return f"{paths[name]} sha256={hashlib.sha256(originals[name]).hexdigest()}"
+
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "interval",
+                         "--intervals", str(paths["p4.ivl"]), "--out", str(tmp_path / "o"),
+                         str(paths["p4.cf"]))
+    assert code == 0 and pairs["strategy"] == "interval"
+    assert pairs["input_graph"] == digest("p4.cf")
+    assert pairs["input_intervals"] == digest("p4.ivl")
+    paths["p4.cf"].write_bytes(originals["p4.cf"])
+    later["p4.cf"] = C4
+    code, pairs, _ = run(capsys, "verify", "--variant", "cn", str(paths["p4.cf"]),
+                         str(paths["p4.col"]))
+    assert code == 0 and pairs["verdict"] == "valid"
+    assert pairs["input_graph"] == digest("p4.cf")
+    assert pairs["input_coloring"] == digest("p4.col")
+
+
 def test_verify_valid_and_invalid(tmp_path, capsys):
     g = put(tmp_path, "k3.cf", K3)
     good = put(tmp_path, "good.col", "v 0 0\nv 1 1\nv 2 1\n")

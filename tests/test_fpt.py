@@ -5,11 +5,18 @@ import re
 
 import pytest
 
+from cfcolor import graph
 from cfcolor.graph import Graph
 from cfcolor.coloring import VARIANT_CN, VARIANT_ON, verify
-from cfcolor.graphclasses import Modulator, cluster_modulator, threshold_modulator
+from cfcolor.graphclasses import (
+    Modulator,
+    cluster_modulator,
+    residual_components,
+    threshold_modulator,
+)
 from cfcolor.oracle import decide_cf, exact_cf
 from cfcolor.fpt import (
+    _component_universal,
     approx_cfcn_threshold,
     approx_cfon_threshold,
     compute_types,
@@ -241,6 +248,27 @@ def test_approx_errors():
         approx_cfcn_threshold(P4, Modulator((), "threshold"))  # P4 is not threshold
     with pytest.raises(ValueError, match="isolated"):
         approx_cfon_threshold(Graph(3, [(0, 1)]), Modulator((), "threshold"))
+
+
+def test_residual_split_builds_no_graph(monkeypatch):
+    # the split of G-X and the search for a component's universal member
+    # work on vertex sets of the input graph and build no Graph
+    cases = [make(n, d, s)
+             for s, (n, d) in enumerate([(12, 1), (20, 2), (30, 3), (60, 2)])
+             for make in (random_cluster_modulator_instance,
+                          random_threshold_modulator_instance)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(graph, "induced_subgraph", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    for g, m in cases:
+        comps = residual_components(g, m)
+        assert comps is not None
+        for comp in comps:
+            u = _component_universal(g, comp)
+            assert all(g.has_edge(u, v) for v in comp if v != u)
 
 
 def test_approx_bounds_exhaustive():

@@ -1,7 +1,9 @@
 """Graph core: construction, neighborhoods, components, file round-trips."""
 
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from cfcolor.graph import (
     Graph,
@@ -13,7 +15,7 @@ from cfcolor.graph import (
     parse_graph,
     write_graph,
 )
-from strategies import graphs
+from strategies import graphs, labeled_graphs
 
 K2_TEXT = "p cf 2 1\ne 0 1\n"
 
@@ -78,6 +80,44 @@ def test_induced_subgraph_relabels_in_order():
     assert sub.edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         induced_subgraph(g, [7])
+
+
+def _same_graph(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.edges == want.edges
+    assert all(got.neighbors(v) == want.neighbors(v) for v in range(want.n))
+
+
+def _public_induced(g, vertices):
+    """The induced subgraph built through the checking constructor."""
+    relabel = {v: i for i, v in enumerate(sorted(vertices))}
+    return Graph(len(relabel), [(relabel[u], relabel[v]) for u, v in g.edges
+                                if u in relabel and v in relabel])
+
+
+def test_induced_subgraph_equals_checked_construction():
+    # every labeled graph on up to 5 vertices and every vertex subset,
+    # the empty one included
+    for g in labeled_graphs(5):
+        for size in range(g.n + 1):
+            for vs in itertools.combinations(range(g.n), size):
+                _same_graph(induced_subgraph(g, vs)[0], _public_induced(g, vs))
+
+
+@given(graphs(max_n=30), st.data())
+def test_induced_subgraph_equals_checked_construction_random(g, data):
+    vs = data.draw(st.sets(st.integers(0, g.n - 1)))
+    _same_graph(induced_subgraph(g, vs)[0], _public_induced(g, vs))
+
+
+@given(graphs(max_n=12), st.data())
+def test_parse_equals_checked_construction(g, data):
+    # edge lines in any order and orientation, some repeated
+    lines = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in g.edges]
+    lines += data.draw(st.lists(st.sampled_from(lines), max_size=3)) if lines else []
+    lines = data.draw(st.permutations(lines))
+    text = f"p cf {g.n} {len(lines)}\n" + "".join(f"e {u} {v}\n" for u, v in lines)
+    _same_graph(parse_graph(text), g)
 
 
 def test_complement_of_path():

@@ -30,6 +30,7 @@ from cfcolor.generators import (
     _levels_up_to,
     _plain_levels,
     enumerate_small,
+    random_cluster_modulator_instance,
     random_threshold,
     random_threshold_modulator_instance,
 )
@@ -420,6 +421,22 @@ def test_residual_components_matches_brute_force():
     assert residual_components(K3, Modulator((0, 1, 2), "cluster")) == []
     with pytest.raises(ValueError, match="unknown residual class"):
         residual_components(K3, Modulator((), "nonsense"))
+
+
+def test_residual_components_pinned():
+    # sha256 over the split of G-X on planted modulator instances (n
+    # 10-80), with the planted X, X minus a vertex and the empty X, in
+    # both classes, as computed through the induced subgraph and the
+    # recognizers before the split moved onto vertex sets
+    h = hashlib.sha256()
+    for s in range(100):
+        n, d = 10 + s * 7 % 71, 1 + s % 3
+        for make in (random_cluster_modulator_instance, random_threshold_modulator_instance):
+            g, planted = make(n, d, s)
+            for xs in (planted.vertices, planted.vertices[1:], ()):
+                for residual_class in ("cluster", "threshold"):
+                    h.update(repr(residual_components(g, Modulator(xs, residual_class))).encode())
+    assert h.hexdigest() == "20063883280b37e8918d31d0c24da6b62849885c5dd29034656a5e7e9fc1a8c5"
 
 
 def test_obstruction_finders_match_brute_force():
