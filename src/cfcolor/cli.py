@@ -314,6 +314,8 @@ def _cmd_solve(args, report: RunReport) -> int:
         return 0
 
     strategy, outcome = _solve(g, args, rep, limit, report)
+    # free for a coloring its solver already checked (the verdict is kept
+    # on the coloring); a solver that skipped its check is caught here
     verdict = verify(outcome.coloring, args.variant)
     if not verdict:
         raise SelfCheckError(

@@ -15,7 +15,7 @@ vertex exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graph import Graph, GraphFormatError
@@ -29,6 +29,10 @@ VARIANTS = (VARIANT_CN, VARIANT_ON)
 class Coloring:
     graph: Graph
     colors: tuple[int, ...]
+    # variant -> VerifyResult, filled by `verify`: graph and colors never
+    # change, so a coloring is checked at most once per variant
+    _verdicts: dict[str, VerifyResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.colors) != self.graph.n:
@@ -108,11 +112,19 @@ def verify_cfon(coloring: Coloring) -> VerifyResult:
 
 
 def verify(coloring: Coloring, variant: str) -> VerifyResult:
-    if variant == VARIANT_CN:
-        return verify_cfcn(coloring)
-    if variant == VARIANT_ON:
-        return verify_cfon(coloring)
-    raise ValueError(f"unknown variant {variant!r}")
+    """The verdict of `verify_cfcn` or `verify_cfon`, kept on the
+    coloring: a solver's self-check and a caller's re-check of the same
+    coloring run the verifier once between them."""
+    verdict = coloring._verdicts.get(variant)
+    if verdict is None:
+        if variant == VARIANT_CN:
+            verdict = verify_cfcn(coloring)
+        elif variant == VARIANT_ON:
+            verdict = verify_cfon(coloring)
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        coloring._verdicts[variant] = verdict
+    return verdict
 
 
 def parse_coloring(text: str, g: Graph) -> Coloring:

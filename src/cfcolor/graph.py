@@ -1,8 +1,9 @@
 """Simple undirected graphs on dense integer vertices, plus text I/O.
 
 Vertices are always 0..n-1.  A Graph is immutable once constructed and
-stores adjacency twice: sorted per-vertex neighbor tuples for cheap
-neighborhood scans, and a frozen pair set for O(1) edge membership.
+stores adjacency once, as sorted per-vertex neighbor tuples: edge
+membership bisects a tuple, and the edge count and edge list are read
+off the tuples.
 
 File format (one graph per file):
 
@@ -13,11 +14,22 @@ File format (one graph per file):
 Edge lines use 0-based endpoints; the canonical writer emits them sorted
 lexicographically with u < v.  Duplicate edge lines collapse to one edge;
 self-loops are a hard error.
+
+The reader takes canonical text (what `write_graph` emits without a
+comment) in bulk: one pattern match, one split, and C-level checks of
+the edge count, the id range and the order (u < v, which rules out
+self-loops, and each edge after the one before, which rules out
+duplicates).  Any other text, or canonical-looking text that fails a
+check, goes through the line-by-line reader, which is the reference and
+the only source of format errors.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import operator
+import re
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -38,25 +50,21 @@ class SizeGuardError(RuntimeError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        pairs: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            a, b = (u, v) if u < v else (v, u)
-            pairs.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
         self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._edges = frozenset(pairs)
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -66,17 +74,17 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(adj)
         g._adj = adj
-        g._edges = frozenset(
-            (v, u) for v, nb in enumerate(adj) for u in nb[bisect_right(nb, v):])
         return g
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(map(len, self._adj)) // 2
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self._edges))
+        """Every edge (u, v) with u < v, in lexicographic order."""
+        return tuple((v, u) for v, nb in enumerate(self._adj)
+                     for u in nb[bisect_right(nb, v):])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
@@ -99,24 +107,57 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edges
+        if not (0 <= u < self.n):
+            return False
+        nb = self._adj[u]
+        i = bisect_left(nb, v)
+        return i < len(nb) and nb[i] == v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edges))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# the shape of what `write_graph` emits without a comment: ASCII digits,
+# single spaces, every line ended by a newline
+_CANONICAL = re.compile(r"p cf ([0-9]+) ([0-9]+)\n(?:e [0-9]+ [0-9]+\n)*")
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse the `p cf` text format; raises GraphFormatError with a line number."""
+    """Parse the `p cf` text format; raises GraphFormatError with a line number.
+
+    Canonical text is read in bulk when every edge line is in range,
+    has u < v and comes strictly after the one before; everything else
+    is read line by line, which gives the same graph or the error."""
+    match = _CANONICAL.fullmatch(text)
+    if match:
+        n, m = int(match[1]), int(match[2])
+        tokens = text.split()
+        us = list(map(int, tokens[5::3]))
+        vs = list(map(int, tokens[6::3]))
+        keys = list(map(operator.add, map(operator.mul, us, repeat(n)), vs))
+        if (len(us) == m and (not vs or max(vs) < n) and all(map(operator.lt, us, vs))
+                and all(map(operator.lt, keys, keys[1:]))):
+            # in lexicographic order each vertex meets its smaller
+            # neighbours first, each in increasing order, then its
+            # larger ones: appending keeps every list sorted
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in zip(us, vs):
+                adj[u].append(v)
+                adj[v].append(u)
+            return Graph._trusted(tuple(map(tuple, adj)))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """The line-by-line reader: any text, and every format error."""
     n = m = None
     edges: list[tuple[int, int]] = []
     edge_lines = 0

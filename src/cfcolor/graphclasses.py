@@ -113,14 +113,13 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]
 
 
 def is_cluster(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """Every connected component must be a clique."""
+    """Every connected component must be a clique: each member's
+    neighbours all lie in its component, so it is a clique iff every
+    member has degree |component| - 1.  O(n + m)."""
     comps = connected_components(g)
     for comp in comps:
-        k = len(comp)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not g.has_edge(comp[i], comp[j]):
-                    return False, None
+        if any(g.degree(v) != len(comp) - 1 for v in comp):
+            return False, None
     return True, tuple(comps)
 
 
@@ -128,7 +127,7 @@ def neighbours_inside(g: Graph, vertices, inside: set[int]) -> list[int]:
     """For each vertex of `vertices`, how many of its neighbours lie in
     `inside`: O(sum of their degrees), so a clique or independence
     check over a set costs O(n + m) rather than a test per pair."""
-    return [sum(1 for u in g.neighbors(v) if u in inside) for v in vertices]
+    return [len(inside.intersection(g.neighbors(v))) for v in vertices]
 
 
 def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:

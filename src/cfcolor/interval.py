@@ -4,7 +4,9 @@ one four-color sweep that serves both neighborhood variants.
 Endpoints are exact rationals (`fractions.Fraction`); all 2n endpoints
 must be pairwise distinct, and a representation with tied endpoints is
 rejected rather than perturbed.  Intervals are closed, so u ~ v iff
-max(l_u, l_v) <= min(r_u, r_v).
+max(l_u, l_v) <= min(r_u, r_v).  Validation and the sweep compare the
+endpoints as integers: each is scaled once by the least common
+denominator, which keeps their order and their ties exactly.
 
 Validation finds the intersecting pairs by one sweep over the sorted
 endpoints: at each left endpoint, the intervals still open are exactly
@@ -33,6 +35,7 @@ rational literals such as `7/2`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,14 +100,22 @@ def write_intervals(rep: IntervalRepresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _intersecting_pairs(rep: IntervalRepresentation) -> set[tuple[int, int]]:
+def _integer_endpoints(rep: IntervalRepresentation) -> tuple[list[int], list[int]]:
+    """The left and the right endpoints times the least common
+    denominator: integers in the same order as the rationals."""
+    scale = math.lcm(*(x.denominator for ends in rep.intervals for x in ends))
+    return ([l.numerator * (scale // l.denominator) for l, _ in rep.intervals],
+            [r.numerator * (scale // r.denominator) for _, r in rep.intervals])
+
+
+def _intersecting_pairs(left: list[int], right: list[int]) -> set[tuple[int, int]]:
     """Every (u, v), u < v, whose closed intervals meet, by one sweep
     over the sorted endpoints.  At a left endpoint the intervals still
     open are exactly the ones that meet the new interval, so the sweep
     costs O(n log n) plus the number of pairs.  At a tie left endpoints
     come first, so intervals that touch meet; an interval with l > r
     meets nothing."""
-    events = sorted((x, side, v) for v, (l, r) in enumerate(rep.intervals) if l <= r
+    events = sorted((x, side, v) for v, (l, r) in enumerate(zip(left, right)) if l <= r
                     for side, x in ((0, l), (1, r)))
     open_: set[int] = set()
     pairs: set[tuple[int, int]] = set()
@@ -122,24 +133,23 @@ def validate_representation(g: Graph, rep: IntervalRepresentation) -> Representa
     a mismatch names the lexicographically smallest mismatched pair."""
     if rep.n != g.n:
         return RepresentationVerdict(False, f"{rep.n} intervals for {g.n} vertices")
-    endpoints: list[Fraction] = []
-    for v, (l, r) in enumerate(rep.intervals):
+    left, right = _integer_endpoints(rep)
+    for v, (l, r) in enumerate(zip(left, right)):
         if not l < r:
             return RepresentationVerdict(False, f"interval of vertex {v} has l >= r")
-        endpoints.extend((l, r))
-    if len(set(endpoints)) != len(endpoints):
+    if len(set(left + right)) != 2 * g.n:
         return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
-    meets = _intersecting_pairs(rep)
-    spurious = [p for p in meets if not g.has_edge(*p)]
-    if not spurious and len(meets) == g.m:
+    meets = _intersecting_pairs(left, right)
+    mismatched = meets.symmetric_difference(g.edges)
+    if not mismatched:
         return RepresentationVerdict(True)
-    u, v = min(spurious + [e for e in g.edges if e not in meets])
+    u, v = min(mismatched)
     kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
     return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
 
 
 def graph_from_representation(rep: IntervalRepresentation) -> Graph:
-    return Graph(rep.n, _intersecting_pairs(rep))
+    return Graph(rep.n, _intersecting_pairs(*_integer_endpoints(rep)))
 
 
 def _require_valid(g: Graph, rep: IntervalRepresentation) -> None:
@@ -148,15 +158,13 @@ def _require_valid(g: Graph, rep: IntervalRepresentation) -> None:
         raise ValueError(f"invalid interval representation: {verdict.reason}")
 
 
-def _max_right_neighbor(g: Graph, rep: IntervalRepresentation, v: int) -> int | None:
+def _max_right_neighbor(g: Graph, right: list[int], v: int) -> int | None:
     """Neighbor whose right endpoint dominates all of N[v], if one exists."""
     nb = g.neighbors(v)
     if not nb:
         return None
-    best = max(nb, key=rep.right)
-    if rep.right(best) >= max(rep.right(u) for u in g.closed_neighbors(v)):
-        return best
-    return None
+    best = max(nb, key=right.__getitem__)
+    return best if right[best] >= right[v] else None
 
 
 def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
@@ -176,13 +184,14 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
             else "open-neighborhood sweep requires a connected graph on >= 2 vertices"
         )
     colors: list[int] = [-1] * g.n
-    rightmost = max(range(g.n), key=rep.right)
-    order = sorted(range(g.n), key=rep.left)
+    left, right = _integer_endpoints(rep)
+    rightmost = max(range(g.n), key=right.__getitem__)
+    order = sorted(range(g.n), key=left.__getitem__)
 
-    def fill(vertices, lo_left: Fraction, hi_right: Fraction | None) -> None:
+    def fill(vertices, lo_left: int, hi_right: int | None) -> None:
         for u in vertices:
-            if colors[u] == -1 and rep.left(u) >= lo_left and (
-                hi_right is None or rep.right(u) <= hi_right
+            if colors[u] == -1 and left[u] >= lo_left and (
+                hi_right is None or right[u] <= hi_right
             ):
                 colors[u] = 0
 
@@ -193,27 +202,27 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
             colors[vi] = 1
             if variant == VARIANT_ON:
                 # the intervals contained in vi are its neighbors starting later
-                inner = [u for u in g.neighbors(vi) if rep.left(u) > rep.left(vi)]
+                inner = [u for u in g.neighbors(vi) if left[u] > left[vi]]
                 if not inner:
                     continue
-                vi2 = min(inner, key=rep.left)
+                vi2 = min(inner, key=left.__getitem__)
                 if colors[vi2] == -1:
                     colors[vi2] = 2
-            fill(g.neighbors(vi), rep.left(vi), None)
+            fill(g.neighbors(vi), left[vi], None)
             continue
-        vl = _max_right_neighbor(g, rep, vi)
+        vl = _max_right_neighbor(g, right, vi)
         assert vl is not None, "connected interval graph must have a dominating neighbor"
         chain = [vi, vl]
         if vl != rightmost:
-            chain.append(_max_right_neighbor(g, rep, vl))
+            chain.append(_max_right_neighbor(g, right, vl))
             assert chain[2] is not None
         for color, u in enumerate(chain, start=1):
             if colors[u] == -1:
                 colors[u] = color
         fill(
             {u for v in chain for u in g.neighbors(v)},
-            rep.left(vi),
-            rep.right(chain[2]) if len(chain) == 3 else None,
+            left[vi],
+            right[chain[2]] if len(chain) == 3 else None,
         )
 
     return checked_outcome(Coloring(g, tuple(colors)), variant, UPPER_BOUND)

@@ -8,7 +8,7 @@ import sys
 
 from hypothesis import strategies as st
 
-from cfcolor.graph import Graph
+from cfcolor.graph import Graph, write_graph
 from cfcolor.generators import (
     random_cluster_modulator_instance,
     random_graph,
@@ -25,6 +25,78 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
     else:
         edges = set()
     return Graph(n, edges)
+
+
+# every line boundary `str.splitlines` knows
+LINE_SEPARATORS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                   "\x85", "\u2028", "\u2029")
+
+# spellings of a non-negative id that `int` accepts but canonical text never uses
+RESPELLINGS = (
+    lambda k: "+" + k,
+    lambda k: "0" + k,
+    lambda k: k[0] + "_" + k[1:] if len(k) > 1 else "0_" + k,
+    lambda k: k.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+)
+
+
+@st.composite
+def graph_texts(draw, max_n: int = 6):
+    """Text in and around the `p cf` format: a graph's canonical text,
+    then up to four edits.  The edits insert comments, blank lines,
+    edge lines (duplicate, reversed, self-loop or out of range), extra
+    or malformed headers and unknown lines; delete or swap lines (a
+    missing header, a wrong edge count, unsorted edges); reverse an
+    edge; respell its ids (`+5`, `05`, `1_0`, non-ASCII digits); indent
+    with spaces or tabs.  Lines end in newlines as canonical text does,
+    in one other separator throughout or in any mix of the
+    `str.splitlines` separators, where the last one may be missing."""
+    g = draw(graphs(min_n=0, max_n=max_n))
+    lines = write_graph(g).splitlines()
+    ids = st.integers(-1, g.n + 1)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ("comment", "blank", "edge", "header", "junk", "delete", "swap", "reverse",
+             "respell", "indent")))
+        i = draw(st.integers(0, len(lines)))
+        if kind == "comment":
+            lines.insert(i, draw(st.sampled_from(("c", "c note", "cx 1 2", "c e 0 1"))))
+        elif kind == "blank":
+            lines.insert(i, draw(st.sampled_from(("", " ", "\t"))))
+        elif kind == "edge":
+            lines.insert(i, f"e {draw(ids)} {draw(ids)}")
+        elif kind == "header":
+            lines.insert(i, draw(st.sampled_from(
+                (f"p cf {g.n} {g.m}", f"p cf {g.n} {g.m + 1}", f"p cf {g.n}", "p cf -1 0",
+                 f"p cf {g.n} x", f"p xx {g.n} {g.m}"))))
+        elif kind == "junk":
+            lines.insert(i, draw(st.sampled_from(("x 1 2", "e 1", "e 0 1 2", "e a 1", "p"))))
+        elif lines:
+            i = min(i, len(lines) - 1)
+            fields = lines[i].split(" ")
+            if kind == "delete":
+                del lines[i]
+            elif kind == "swap":
+                j = draw(st.integers(0, len(lines) - 1))
+                lines[i], lines[j] = lines[j], lines[i]
+            elif kind == "reverse" and len(fields) == 3:
+                lines[i] = " ".join((fields[0], fields[2], fields[1]))
+            elif kind == "respell":
+                respell = draw(st.sampled_from(RESPELLINGS))
+                lines[i] = " ".join(respell(f) if f.isdigit() else f for f in fields)
+            elif kind == "indent":
+                lines[i] = draw(st.sampled_from((" ", "\t", "  "))) + lines[i].replace(
+                    " ", draw(st.sampled_from((" ", "\t", " \t"))))
+    ending = draw(st.sampled_from(("canonical", "one", "mixed")))
+    if ending == "canonical":
+        seps = ["\n"] * len(lines)
+    elif ending == "one":
+        seps = [draw(st.sampled_from(LINE_SEPARATORS))] * len(lines)
+    else:
+        seps = [draw(st.sampled_from(LINE_SEPARATORS)) for _ in lines]
+    if seps and ending != "canonical" and draw(st.booleans()):
+        seps[-1] = ""
+    return "".join(line + sep for line, sep in zip(lines, seps))
 
 
 @st.composite

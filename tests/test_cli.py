@@ -496,6 +496,40 @@ def test_solve_modulator_lines_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "strategy,graph,variant",
+    [
+        ("split", "P4", "cn"),
+        ("bipartite", "C4", "cn"),
+        ("cograph", "C4", "on"),
+        ("interval", "P4", "cn"),
+        ("interval", "P4", "on"),
+        ("lemma1", "C5", "cn"),
+        ("lemma1", "C5", "on"),
+        ("approx", "C5", "cn"),
+        ("approx", "C5", "on"),
+        ("oracle", "C5", "on"),
+    ],
+)
+def test_solve_verifies_each_coloring_once(tmp_path, capsys, monkeypatch, strategy, graph,
+                                           variant):
+    # the solver's self-check and the cli's re-check share one verifier run
+    import cfcolor.coloring as coloring_module
+
+    calls = []
+    for name in ("verify_cfcn", "verify_cfon"):
+        original = getattr(coloring_module, name)
+        monkeypatch.setattr(coloring_module, name,
+                            lambda c, original=original: calls.append(c) or original(c))
+    argv = ["solve", "--variant", variant, "--strategy", strategy,
+            put(tmp_path, "g.cf", GRAPHS[graph])]
+    if strategy == "interval":
+        argv += ["--intervals", put(tmp_path, "g.ivl", P4_INTERVALS)]
+    code, pairs, _ = run(capsys, *argv)
+    assert code == 0 and pairs["strategy"] == strategy and "coloring_file" in pairs
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
     "solver,graph,variant,strategy",
     [
         ("solve_bipartite_cfcn", "C4", "cn", "bipartite"),

@@ -3,8 +3,9 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cfcolor import graph as graph_module
 from cfcolor.graph import (
     Graph,
     GraphFormatError,
@@ -15,7 +16,7 @@ from cfcolor.graph import (
     parse_graph,
     write_graph,
 )
-from strategies import graphs, labeled_graphs
+from strategies import graph_texts, graphs, labeled_graphs
 
 K2_TEXT = "p cf 2 1\ne 0 1\n"
 
@@ -118,6 +119,48 @@ def test_parse_equals_checked_construction(g, data):
     lines = data.draw(st.permutations(lines))
     text = f"p cf {g.n} {len(lines)}\n" + "".join(f"e {u} {v}\n" for u, v in lines)
     _same_graph(parse_graph(text), g)
+
+
+@settings(max_examples=400)
+@given(graph_texts())
+def test_parse_matches_line_reader(text):
+    # the bulk reader for canonical text gives the line reader's graph,
+    # or defers to it for the error
+    try:
+        want = graph_module._parse_lines(text)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as got:
+            parse_graph(text)
+        assert str(got.value) == str(exc) and got.value.line == exc.line
+    else:
+        _same_graph(parse_graph(text), want)
+
+
+def test_canonical_text_skips_line_reader(monkeypatch):
+    def refuse(text):
+        raise AssertionError("canonical text reached the line reader")
+
+    monkeypatch.setattr(graph_module, "_parse_lines", refuse)
+    for g in labeled_graphs(4):
+        _same_graph(parse_graph(write_graph(g)), g)
+    _same_graph(parse_graph("p cf 0 0\n"), Graph(0))
+
+
+def test_graph_invariants_match_pair_set():
+    # every labeled graph on up to 5 vertices against its brute-force pair set
+    for n in range(6):
+        all_pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(all_pairs)):
+            pairs = [p for i, p in enumerate(all_pairs) if mask >> i & 1]
+            g = Graph(n, pairs)
+            ids = range(-2, n + 2)
+            for u, v in itertools.product(ids, ids):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in pairs)
+            assert g.m == len(pairs) and g.edges == tuple(pairs)
+            for edges in (g.edges, [(v, u) for u, v in reversed(pairs)]):
+                same = Graph(n, edges)
+                assert same == g and hash(same) == hash(g)
+            assert g != Graph(n + 1, pairs)
 
 
 def test_complement_of_path():
