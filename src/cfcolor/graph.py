@@ -15,13 +15,17 @@ Edge lines use 0-based endpoints; the canonical writer emits them sorted
 lexicographically with u < v.  Duplicate edge lines collapse to one edge;
 self-loops are a hard error.
 
+A header may declare at most MAX_VERTICES vertices: the readers
+allocate one neighbour list per declared vertex, so a larger count is a
+format error rather than an allocation the text cannot justify.
+
 The reader takes canonical text (what `write_graph` emits without a
 comment) in bulk: one pattern match, one split, and C-level checks of
-the edge count, the id range and the order (u < v, which rules out
-self-loops, and each edge after the one before, which rules out
-duplicates).  Any other text, or canonical-looking text that fails a
-check, goes through the line-by-line reader, which is the reference and
-the only source of format errors.
+the vertex and edge counts, the id range and the order (u < v, which
+rules out self-loops, and each edge after the one before, which rules
+out duplicates).  Any other text, or canonical-looking text that fails
+a check, goes through the line-by-line reader, which is the reference
+and the only source of format errors.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from typing import Iterable, Iterator
+
+
+# the largest vertex count a `p cf` header may declare
+MAX_VERTICES = 1_000_000
 
 
 class GraphFormatError(ValueError):
@@ -126,8 +134,9 @@ class Graph:
 
 
 # the shape of what `write_graph` emits without a comment: ASCII digits,
-# single spaces, every line ended by a newline
-_CANONICAL = re.compile(r"p cf ([0-9]+) ([0-9]+)\n(?:e [0-9]+ [0-9]+\n)*")
+# single spaces, every line ended by a newline; a digit run is at most
+# 20 long, so `int` never meets its limit on digits
+_CANONICAL = re.compile(r"p cf ([0-9]{1,20}) ([0-9]{1,20})\n(?:e [0-9]{1,20} [0-9]{1,20}\n)*")
 
 
 def parse_graph(text: str) -> Graph:
@@ -143,8 +152,8 @@ def parse_graph(text: str) -> Graph:
         us = list(map(int, tokens[5::3]))
         vs = list(map(int, tokens[6::3]))
         keys = list(map(operator.add, map(operator.mul, us, repeat(n)), vs))
-        if (len(us) == m and (not vs or max(vs) < n) and all(map(operator.lt, us, vs))
-                and all(map(operator.lt, keys, keys[1:]))):
+        if (n <= MAX_VERTICES and len(us) == m and (not vs or max(vs) < n)
+                and all(map(operator.lt, us, vs)) and all(map(operator.lt, keys, keys[1:]))):
             # in lexicographic order each vertex meets its smaller
             # neighbours first, each in increasing order, then its
             # larger ones: appending keeps every list sorted
@@ -176,6 +185,9 @@ def _parse_lines(text: str) -> Graph:
                 raise GraphFormatError("non-integer counts in header", lineno) from None
             if n < 0 or m < 0:
                 raise GraphFormatError("negative counts in header", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"header declares {n} vertices, more than the limit {MAX_VERTICES}", lineno)
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError("edge line before header", lineno)

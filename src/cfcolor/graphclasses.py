@@ -29,24 +29,20 @@ in O(size + its edges), and a work list replaces recursion, because a
 threshold graph's cotree is about n/2 levels deep.  Each level
 rescans its module's edges, so deep cotrees cost up to O(n (n + m)).
 
-Modulators are found by bounded-depth branching on a forbidden induced
-subgraph (Cai 1996): P3 (3-way) for cluster, P4/C4/2K2 (4-way) for
-threshold, each taken from a failed linear recognition of G-removed.
-The depth is deepened one step at a time (0, 1, ..., budget), and the
-search stops at the first size that has a hitting set, returning the
-one with the lexicographically smallest sorted vertex tuple.  The
-result does not depend on which obstruction is branched on: from any
-minimum hitting set H, the branch that removes a vertex of H from each
-obstruction ends at the leaf H.
+Cluster and threshold graphs are each decided by one check of G minus
+a removed vertex set, which returns the certificate or else a forbidden
+induced subgraph: a P3 for cluster, a 2K2, P4 or C4 for threshold.  The
+recognizers run it with nothing removed.  The modulator search (Cai
+1996) branches on its obstruction, 3 or 4 ways, deepening one size at a
+time (0, 1, ..., budget), and stops at the first size with a hitting
+set, returning the lexicographically smallest sorted one.
 
-`residual_components` is the one split of G-X: it checks the residual
-class and returns the components, which the lemma1 constructions, the
-kernel and the threshold approximation all take from it.  It works on
-vertex sets of the input graph, as the modulator search does: the
-class check is the search's own obstruction finder, which returns None
-exactly when G-X is in the class, and the components come from one
-breadth-first search that skips X.  Both take O(n + m) time, apart
-from the threshold finder's sort by degree, and build no subgraph.
+`residual_components` is the one split of G-X, which the lemma1
+constructions, the kernel and the threshold approximation take: the
+same check, on G-X as a vertex set; a cluster residual's cliques are
+its components, and a threshold residual's come from one breadth-first
+search that skips X.  Both take O(n + m) time, apart from the threshold
+check's sort by degree, and build no subgraph.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, components_avoiding, connected_components
+from .graph import Graph, components_avoiding
 
 
 @dataclass(frozen=True)
@@ -113,14 +109,9 @@ def is_bipartite(g: Graph) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]
 
 
 def is_cluster(g: Graph) -> tuple[bool, tuple[tuple[int, ...], ...] | None]:
-    """Every connected component must be a clique: each member's
-    neighbours all lie in its component, so it is a clique iff every
-    member has degree |component| - 1.  O(n + m)."""
-    comps = connected_components(g)
-    for comp in comps:
-        if any(g.degree(v) != len(comp) - 1 for v in comp):
-            return False, None
-    return True, tuple(comps)
+    """Every connected component must be a clique; O(n + m)."""
+    cliques, _ = _cluster_check(g, set())
+    return cliques is not None, cliques
 
 
 def neighbours_inside(g: Graph, vertices, inside: set[int]) -> list[int]:
@@ -152,29 +143,12 @@ def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
 
 
 def is_threshold(g: Graph) -> tuple[bool, tuple[tuple[int, str], ...] | None]:
-    """Repeatedly strip an isolated vertex, else a universal one (smallest id).
-
-    The elimination order, replayed in reverse, is a construction
-    sequence certificate.
-    """
-    alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in alive}
-    order: list[tuple[int, str]] = []
-    while alive:
-        isolated = sorted(v for v in alive if deg[v] == 0)
-        if isolated:
-            v, kind = isolated[0], "isolated"
-        else:
-            universal = sorted(v for v in alive if deg[v] == len(alive) - 1)
-            if not universal:
-                return False, None
-            v, kind = universal[0], "universal"
-        order.append((v, kind))
-        alive.remove(v)
-        for u in g.neighbors(v):
-            if u in alive:
-                deg[u] -= 1
-    return True, tuple(order)
+    """Repeatedly strip an isolated vertex, else a universal one, each
+    time the one of smallest id; a lone last vertex counts as isolated.
+    The order, replayed in reverse, is a construction sequence
+    certificate.  One sort by degree, O(n log n + m)."""
+    order, _ = _threshold_check(g, set())
+    return order is not None, order
 
 
 def replay_elimination(n: int, order: tuple[tuple[int, str], ...]) -> Graph:
@@ -320,54 +294,73 @@ def recognize(g: Graph) -> RecognitionReport:
     )
 
 
-def _induced_p3(g: Graph, removed: set[int]) -> tuple[int, int, int] | None:
-    """An induced P3 of G-removed, or None when G-removed is a cluster
-    graph.  G-removed is a cluster graph iff every alive vertex is
-    adjacent to the rest of its component; a vertex v that is not has a
-    neighbour u with a neighbour w outside N[v], so u has the two
-    non-adjacent neighbours v and w."""
-    for comp in components_avoiding(g, removed):
-        for v in comp:
-            nv = [u for u in g.neighbors(v) if u not in removed]
-            if len(nv) < len(comp) - 1:
-                for u in nv:
-                    for w in g.neighbors(u):
-                        if w != v and w not in removed and not g.has_edge(v, w):
-                            return v, u, w
-    return None
-
-
-def _threshold_obstruction(
+def _cluster_check(
     g: Graph, removed: set[int]
-) -> tuple[int, int, int, int] | None:
-    """An induced P4, C4 or 2K2 of G-removed, or None when G-removed is
-    a threshold graph.
+) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, int, int] | None]:
+    """(cliques, None) when G-removed is a cluster graph, each clique
+    sorted and ordered by smallest member; else (None, an induced P3).
 
-    Strip isolated and universal vertices, lowest and highest degree
-    first.  Stripping a universal vertex lowers every remaining degree
-    by one and stripping an isolated one lowers none, so one sort by
-    degree serves the whole elimination.  Where it gets stuck, the
-    remainder has neither, and two vertices u, v adjacent in its degree
-    order (deg u >= deg v) have non-nested neighbourhoods: if every
-    such pair nested, a neighbour of the lowest-degree vertex would be
-    universal.  Then some b in N(v) - N[u] and a in N(u) - N[v] exist,
-    and {u, a, v, b} induces a 2K2, P4 or C4 by whether uv and ab are
-    edges.
+    A component is a clique iff each member has all the others as
+    neighbours.  A member v that does not has a neighbour u with a
+    neighbour w outside N[v], so u has the two non-adjacent neighbours
+    v and w.  One walk over the components, O(n + m).
     """
-    alive = [v for v in range(g.n) if v not in removed]
-    deg = {v: sum(1 for u in g.neighbors(v) if u not in removed) for v in alive}
-    order = sorted(alive, key=deg.__getitem__)
+    comps = []
+    for comp in components_avoiding(g, removed):
+        others = len(comp) - 1
+        for v in comp:
+            nb = g.neighbors(v)
+            if len(nb) - len(removed.intersection(nb)) < others:
+                for u in nb:
+                    if u not in removed:
+                        for w in g.neighbors(u):
+                            if w != v and w not in removed and not g.has_edge(v, w):
+                                return None, (v, u, w)
+        comps.append(comp)
+    return tuple(tuple(sorted(comp)) for comp in comps), None
+
+
+def _threshold_check(
+    g: Graph, removed: set[int]
+) -> tuple[tuple[tuple[int, str], ...] | None, tuple[int, int, int, int] | None]:
+    """(elimination order, None) when G-removed is a threshold graph;
+    else (None, an induced 2K2, P4 or C4).
+
+    Stripping a universal vertex lowers every remaining degree by one
+    and stripping an isolated one lowers none, so one sort by (degree,
+    id) serves the whole elimination.  Isolated vertices leave from the
+    low end in id order; when there are none, a universal top-degree
+    run leaves whole in id order, as its members stay universal and no
+    vertex turns isolated until one is left alone.
+
+    Where the elimination gets stuck, the remainder has neither kind,
+    and two vertices u, v adjacent in its degree order (deg u >= deg v)
+    have non-nested neighbourhoods: if every such pair nested, a
+    neighbour of the lowest-degree vertex would be universal.  Then
+    some b in N(v) - N[u] and a in N(u) - N[v] exist, and {u, a, v, b}
+    induces a 2K2, P4 or C4 by whether uv and ab are edges.
+    """
+    deg = [g.degree(v) - len(removed.intersection(g.neighbors(v))) for v in range(g.n)]
+    order = sorted((v for v in range(g.n) if v not in removed), key=deg.__getitem__)
+    certificate: list[tuple[int, str]] = []
     lo, hi, stripped = 0, len(order) - 1, 0  # stripped universal vertices
     while lo <= hi:
         if deg[order[lo]] == stripped:
+            certificate.append((order[lo], "isolated"))
             lo += 1
         elif deg[order[hi]] - stripped == hi - lo:
-            hi -= 1
-            stripped += 1
+            top = hi
+            while top > lo and deg[order[top - 1]] == deg[order[hi]]:
+                top -= 1
+            certificate.extend((v, "universal") for v in order[top:hi + 1])
+            if top == lo:  # the lone last vertex
+                certificate[-1] = (order[hi], "isolated")
+            stripped += hi + 1 - top
+            hi = top - 1
         else:
             break
     if lo > hi:
-        return None
+        return tuple(certificate), None
     rest = set(order[lo:hi + 1])
     for i in range(hi, lo, -1):
         u, v = order[i], order[i - 1]
@@ -376,11 +369,12 @@ def _threshold_obstruction(
         if b is not None:
             a = next(w for w in g.neighbors(u)
                      if w in rest and w != v and not g.has_edge(v, w))
-            return u, a, v, b
+            return None, (u, a, v, b)
     raise AssertionError("a stuck elimination always leaves a non-nested pair")
 
 
-_OBSTRUCTION_FINDERS = {"cluster": _induced_p3, "threshold": _threshold_obstruction}
+# each class's one check: (certificate, None) or (None, obstruction)
+_CLASS_CHECKS = {"cluster": _cluster_check, "threshold": _threshold_check}
 
 
 def _branch_modulator(g: Graph, budget: int, residual_class: str) -> Modulator | None:
@@ -388,20 +382,22 @@ def _branch_modulator(g: Graph, budget: int, residual_class: str) -> Modulator |
     size at a time.
 
     At size s every branch removes one vertex of the obstruction that
-    the class's finder returns, down to depth s; the first size with a
+    the class's check returns, down to depth s; the first size with a
     leaf is the minimum, and of its leaves the lexicographically
     smallest sorted tuple is returned.  Which obstruction is branched on does
     not matter: from any minimum hitting set H, the branch that picks
     a vertex of H in each obstruction ends at the leaf H, so the leaves
     at the minimum size are exactly the minimum hitting sets.
     """
-    finder = _OBSTRUCTION_FINDERS[residual_class]
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    check = _CLASS_CHECKS[residual_class]
     removed: set[int] = set()
     best: tuple[int, ...] | None = None
 
     def rec(depth_left: int) -> None:
         nonlocal best
-        obstruction = finder(g, removed)
+        _, obstruction = check(g, removed)
         if obstruction is None:
             cand = tuple(sorted(removed))
             if best is None or cand < best:
@@ -423,15 +419,11 @@ def _branch_modulator(g: Graph, budget: int, residual_class: str) -> Modulator |
 
 def cluster_modulator(g: Graph, budget: int) -> Modulator | None:
     """Vertex set X, |X| <= budget, with G-X a disjoint union of cliques."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
     return _branch_modulator(g, budget, "cluster")
 
 
 def threshold_modulator(g: Graph, budget: int) -> Modulator | None:
     """Vertex set X, |X| <= budget, with G-X a threshold graph."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
     return _branch_modulator(g, budget, "threshold")
 
 
@@ -439,12 +431,15 @@ def residual_components(g: Graph, modulator: Modulator) -> list[tuple[int, ...]]
     """Components of G-X in original ids, each sorted and ordered by
     smallest member, when G-X is of the modulator's residual class;
     None when it is not."""
-    finder = _OBSTRUCTION_FINDERS.get(modulator.residual_class)
-    if finder is None:
+    check = _CLASS_CHECKS.get(modulator.residual_class)
+    if check is None:
         raise ValueError(f"unknown residual class {modulator.residual_class!r}")
     xs = set(modulator.vertices)
-    if finder(g, xs) is not None:
+    certificate, _ = check(g, xs)
+    if certificate is None:
         return None
+    if modulator.residual_class == "cluster":  # the cliques are the components
+        return list(certificate)
     return [tuple(sorted(comp)) for comp in components_avoiding(g, xs)]
 
 

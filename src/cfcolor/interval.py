@@ -30,7 +30,8 @@ vertex ids while keeping intervals fixed permutes the output coloring
 identically.
 
 File format: one `i <vertex> <left> <right>` line per vertex with
-rational literals such as `7/2`.
+rational literals such as `7/2`.  Exponents (`1e3`) are refused:
+`Fraction` would expand each one to all its digits.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def parse_intervals(text: str, n: int) -> IntervalRepresentation:
             raise GraphFormatError("malformed line, expected 'i <vertex> <left> <right>'", lineno)
         try:
             v = int(fields[1])
+            if "e" in (fields[2] + fields[3]).lower():
+                raise ValueError("exponent in a rational literal")
             l, r = Fraction(fields[2]), Fraction(fields[3])
         except (ValueError, ZeroDivisionError):
             raise GraphFormatError("bad vertex id or rational literal", lineno) from None

@@ -58,8 +58,15 @@ def checked_outcome(coloring: Coloring, variant: str, optimality: str, note: str
     return SolveOutcome(coloring, coloring.num_colors, optimality, note)
 
 
-def _universal_vertices(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if g.degree(v) == g.n - 1]
+def _universal_shortcut(g: Graph) -> SolveOutcome | None:
+    """The first universal vertex 1 and every other vertex 0, an exact
+    closed-neighbourhood coloring of a graph with an edge; None when no
+    vertex is universal."""
+    u = next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
+    if u is None:
+        return None
+    coloring = Coloring(g, tuple(1 if v == u else 0 for v in range(g.n)))
+    return checked_outcome(coloring, VARIANT_CN, EXACT)
 
 
 def solve_bipartite_cfcn(g: Graph, bipartition: tuple[tuple[int, ...], tuple[int, ...]]) -> SolveOutcome:
@@ -117,11 +124,8 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     if g.m == 0:  # every closed neighborhood is the vertex itself
         return checked_outcome(Coloring(g, (0,) * g.n), VARIANT_CN, EXACT)
 
-    universal = _universal_vertices(g)
-    if universal:
-        u = universal[0]
-        coloring = Coloring(g, tuple(1 if v == u else 0 for v in range(g.n)))
-        return checked_outcome(coloring, VARIANT_CN, EXACT)
+    if (shortcut := _universal_shortcut(g)) is not None:
+        return shortcut
 
     # probe the canonical maximum-clique partition (recomputed, so a
     # non-canonical input partition cannot weaken the decision)
@@ -175,12 +179,8 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
     if t.kind != "series":
         raise ValueError("root is not a series node (graph disconnected?)")
 
-    if variant == VARIANT_CN:
-        universal = _universal_vertices(g)
-        if universal:
-            u = universal[0]
-            coloring = Coloring(g, tuple(1 if v == u else 0 for v in range(g.n)))
-            return checked_outcome(coloring, VARIANT_CN, EXACT)
+    if variant == VARIANT_CN and (shortcut := _universal_shortcut(g)) is not None:
+        return shortcut
 
     first = t.children[0].vertices
     rest = [v for child in t.children[1:] for v in child.vertices]

@@ -31,12 +31,14 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
 LINE_SEPARATORS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
                    "\x85", "\u2028", "\u2029")
 
-# spellings of a non-negative id that `int` accepts but canonical text never uses
+# spellings of a non-negative id that canonical text never uses: all but
+# the last are accepted by `int`, which refuses more than 4300 digits
 RESPELLINGS = (
     lambda k: "+" + k,
     lambda k: "0" + k,
     lambda k: k[0] + "_" + k[1:] if len(k) > 1 else "0_" + k,
     lambda k: k.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda k: "0" * 4301 + k,
 )
 
 
@@ -47,7 +49,8 @@ def graph_texts(draw, max_n: int = 6):
     edge lines (duplicate, reversed, self-loop or out of range), extra
     or malformed headers and unknown lines; delete or swap lines (a
     missing header, a wrong edge count, unsorted edges); reverse an
-    edge; respell its ids (`+5`, `05`, `1_0`, non-ASCII digits); indent
+    edge; respell its ids (`+5`, `05`, `1_0`, non-ASCII digits, over
+    4300 leading zeros); indent
     with spaces or tabs.  Lines end in newlines as canonical text does,
     in one other separator throughout or in any mix of the
     `str.splitlines` separators, where the last one may be missing."""

@@ -127,6 +127,12 @@ def test_verify_valid_and_invalid(tmp_path, capsys):
     assert code == 2 and "without a color" in pairs["error"]
 
 
+def test_oversize_vertex_count_exits_2(tmp_path, capsys):
+    # the header alone would have the reader allocate a list per vertex
+    code, pairs, _ = run(capsys, "recognize", put(tmp_path, "huge.cf", "p cf 1000000000 0\n"))
+    assert code == 2 and pairs["error"].startswith("line 1: header declares 1000000000 vertices")
+
+
 def test_oracle_chromatic_and_witness(tmp_path, capsys):
     g = put(tmp_path, "k3.cf", K3)
     code, pairs, _ = run(capsys, "oracle", "--variant", "on", g)

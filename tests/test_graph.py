@@ -1,12 +1,17 @@
 """Graph core: construction, neighborhoods, components, file round-trips."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcolor import graph as graph_module
 from cfcolor.graph import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     complement,
@@ -134,6 +139,24 @@ def test_parse_matches_line_reader(text):
         assert str(got.value) == str(exc) and got.value.line == exc.line
     else:
         _same_graph(parse_graph(text), want)
+
+
+def test_header_at_vertex_limit_parses_in_bounded_memory(tmp_path):
+    # both readers take a header-only file at the limit in a process
+    # whose address space is capped at 400 MB
+    path = tmp_path / "limit.cf"
+    path.write_text(f"p cf {MAX_VERTICES} 0\n")
+    script = (
+        "import pathlib, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from cfcolor.graph import _parse_lines, parse_graph\n"
+        "text = pathlib.Path(sys.argv[1]).read_text()\n"
+        "assert parse_graph(text).n == _parse_lines(text).n == int(sys.argv[2])\n"
+    )
+    src = Path(graph_module.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(MAX_VERTICES)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_canonical_text_skips_line_reader(monkeypatch):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from cfcolor.graph import Graph, induced_subgraph
 from cfcolor.graphclasses import (
     Modulator,
-    _induced_p3,
-    _threshold_obstruction,
+    _cluster_check,
+    _threshold_check,
     cluster_modulator,
     has_prime_node,
     is_bipartite,
@@ -30,7 +30,10 @@ from cfcolor.generators import (
     _levels_up_to,
     _plain_levels,
     enumerate_small,
+    random_cluster,
     random_cluster_modulator_instance,
+    random_graph,
+    random_split,
     random_threshold,
     random_threshold_modulator_instance,
 )
@@ -441,9 +444,10 @@ def test_residual_components_pinned():
 
 def test_obstruction_finders_match_brute_force():
     # every labeled graph on up to 5 vertices and every removed set: a
-    # finder answers None exactly when G-removed is in its class, and
-    # otherwise an induced P3 (cluster) or 2K2/P4/C4 (threshold) of
-    # vertices that are still there
+    # class check returns an obstruction, and then no certificate,
+    # exactly when G-removed is not in its class, and the obstruction is
+    # an induced P3 (cluster) or 2K2/P4/C4 (threshold) of vertices that
+    # are still there
     shapes = {3: ([1, 1, 2],), 4: ([1, 1, 1, 1], [1, 1, 2, 2], [2, 2, 2, 2])}
     for n in range(6):
         pairs = list(itertools.combinations(range(n), 2))
@@ -452,9 +456,10 @@ def test_obstruction_finders_match_brute_force():
             g = Graph(n, edges)
             for size in range(n + 1):
                 for x in itertools.combinations(range(n), size):
-                    for finder, residual_class in ((_induced_p3, "cluster"),
-                                                   (_threshold_obstruction, "threshold")):
-                        found = finder(g, set(x))
+                    for check, residual_class in ((_cluster_check, "cluster"),
+                                                  (_threshold_check, "threshold")):
+                        certificate, found = check(g, set(x))
+                        assert (certificate is None) == (found is not None)
                         in_class = _brute_residual(n, edges, x, residual_class) is not None
                         assert (found is None) == in_class, (n, edges, x, residual_class)
                         if found is None:
@@ -481,6 +486,35 @@ def test_threshold_modulator_at_n40():
     g, planted = random_threshold_modulator_instance(40, 2, 1)
     assert planted.vertices == (38, 39)
     assert threshold_modulator(g, 6) == Modulator((38, 39), "threshold")
+
+
+def _recognize_pin_graphs():
+    yield from labeled_graphs(5)
+    for n in (10, 40, 120, 300):
+        for s in range(4):
+            yield random_threshold(n, s)[0]
+            yield random_threshold(n, s, connected=False)[0]
+            yield random_cluster(n, s)[0]
+            yield random_split(n, s)[0]
+            yield random_graph(n, 0.3, s)
+            yield random_graph(n, 1.5 / n, s)
+
+
+def test_recognize_pinned():
+    # sha256 over the labels (sorted, as a frozenset's order depends on
+    # the hash seed) and the certificates that `recognize` reports, on
+    # every labeled graph with at most 5 vertices and on seeded
+    # threshold, cluster, split and G(n, p) graphs up to 300 vertices,
+    # as computed when each class had its own recognizer beside the
+    # modulator search's obstruction finders
+    h = hashlib.sha256()
+    for g in _recognize_pin_graphs():
+        rep = recognize(g)
+        split = rep.split_partition
+        h.update(repr((sorted(rep.labels), rep.cliques,
+                       split and (split.clique, split.independent),
+                       rep.bipartition, rep.elimination_order)).encode())
+    assert h.hexdigest() == "5276e333b37cd315b764a988ab82e9fa3e717115c9a33b214a9ced31a2335abe"
 
 
 def test_recognize_report_bundles_certificates():

@@ -56,6 +56,7 @@ def test_parse_rationals_and_comments():
         ("j 0 1 2\n", "malformed line"),
         ("i 0 one 2\n", "rational literal"),
         ("i 0 1/0 2\n", "rational literal"),
+        ("i 0 0 1e999999999\n", "rational literal"),
         ("i 5 1 2\n", "out of range"),
         ("i 0 1 2\ni 0 3 4\n", "two intervals"),
         ("i 0 1 2\n", "without an interval"),
