@@ -33,6 +33,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -210,12 +211,16 @@ def _parse_lines(text: str) -> Graph:
     if edge_lines != m:
         raise GraphFormatError(f"header declares {m} edges but found {edge_lines} edge lines")
     # every edge line was checked above, so the trusted constructor
-    # only has to collapse duplicates and sort
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # only has to collapse duplicates and sort; only a vertex on some
+    # edge gets a list, so a large header costs one shared () per vertex
+    met: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph._trusted(tuple(tuple(sorted(nb)) for nb in adj))
+        met[u].append(v)
+        met[v].append(u)
+    adj: list[tuple[int, ...]] = [()] * n
+    for v, nb in met.items():
+        adj[v] = tuple(sorted(set(nb)))
+    return Graph._trusted(tuple(adj))
 
 
 def write_graph(g: Graph, comment: str | None = None) -> str:

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
-from .coloring import Coloring, VARIANT_ON, verify_cfon
+from .graph import Graph, SizeGuardError
+from .coloring import Coloring, VARIANT_ON, verify, verify_cfon
 from .oracle import DEFAULT_LIMIT, decide_cf
 from .polysolve import SelfCheckError
 
@@ -47,16 +47,20 @@ class GadgetInstance:
         return self.source.n + 1
 
 
+def _check_source(g: Graph, k: int) -> None:
+    if k < 3:
+        raise ValueError("the gadget needs k >= 3")
+    if g.n < 1:
+        raise ValueError("empty source graph")
+
+
 def encode(g: Graph, k: int) -> GadgetInstance:
     """Build the gadget for `is G properly k-colorable` (k >= 3).
 
     Vertex numbering is deterministic: source vertices keep their ids,
     then x, then y, then one vertex per G'-edge in sorted edge order.
     """
-    if k < 3:
-        raise ValueError("the gadget needs k >= 3")
-    if g.n < 1:
-        raise ValueError("empty source graph")
+    _check_source(g, k)
     n = g.n
     x, y = n, n + 1
     prime_edges = sorted(
@@ -111,7 +115,7 @@ def decode(inst: GadgetInstance, ch: Coloring) -> Coloring:
     would falsify the reduction and raises."""
     if ch.graph != inst.graph:
         raise ValueError("coloring belongs to a different graph")
-    if not verify_cfon(ch):
+    if not verify(ch, VARIANT_ON):
         raise ValueError("not a conflict-free open-neighborhood coloring of the gadget")
     if len(set(ch.colors)) > inst.k + 2:
         raise ValueError(f"more than {inst.k + 2} distinct colors")
@@ -125,21 +129,23 @@ def decode(inst: GadgetInstance, ch: Coloring) -> Coloring:
 
 
 def properly_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Plain backtracking proper coloring, independent of the main oracle."""
+    """Plain backtracking proper coloring, independent of the main oracle.
+
+    It colors the vertices in id order and runs as a loop over that
+    position, so a long path does not hit Python's recursion limit."""
     colors = [-1] * g.n
-
-    def extend(v: int) -> bool:
-        if v == g.n:
-            return True
-        for c in range(k):
-            if all(colors[u] != c for u in g.neighbors(v) if colors[u] != -1):
-                colors[v] = c
-                if extend(v + 1):
-                    return True
-                colors[v] = -1
-        return False
-
-    return tuple(colors) if extend(0) else None
+    v = 0
+    while 0 <= v < g.n:
+        c = colors[v] + 1  # the next color to try; only u < v are colored
+        while c < k and any(colors[u] == c for u in g.neighbors(v) if u < v):
+            c += 1
+        if c < k:
+            colors[v] = c
+            v += 1
+        else:
+            colors[v] = -1
+            v -= 1
+    return tuple(colors) if v == g.n else None
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,14 @@ def cross_validate(g: Graph, k: int, limit: int | None = DEFAULT_LIMIT) -> Cross
 
     The gadget has 3n + m + 3 vertices, so the default 16-vertex
     exhaustive-search guard only admits sources with up to 3 vertices;
-    pass limit=None (or a larger limit) to validate bigger sources."""
+    pass limit=None (or a larger limit) to validate bigger sources.  The
+    arguments and the guard are checked before the gadget is built or
+    the source colored."""
+    _check_source(g, k)
+    size = 3 * g.n + g.m + 3
+    if limit is not None and size > limit:
+        raise SizeGuardError(
+            f"gadget has {size} vertices, above the exhaustive-search limit {limit}")
     inst = encode(g, k)
     source = properly_colorable(g, k)
     if source is not None:

@@ -9,14 +9,18 @@ together in the order, so most constraints complete early in the search
 tree.  The usual symmetry break applies along that order: the i-th
 vertex may only use colors 0..min(max_used+1, k-1).
 
-Every constraint keeps its color counts, the number of colors seen once
-and the number seen at least twice; assigning and undoing a color
-updates them in O(1) per constraint.  A constraint dies, and the branch
-with it, when no color is seen once and either it is complete or all k
-colors are seen at least twice.  Colors are only added on the path to a
-full leaf, so neither case can regain a unique color and the prune is
-sound.  The search runs as a loop over an explicit depth counter, so
-its depth is not bounded by Python's recursion limit.
+The search state is two bitmasks per color, bit i standing for
+constraint i: seen[c] holds the constraints that see color c at least
+once, twice[c] those that see it at least twice, so seen[c] ^ twice[c]
+holds those that see it exactly once.  Coloring a vertex updates the
+masks of one color with a few word-parallel operations on the vertex's
+constraint mask; backtracking restores the two masks saved at that
+depth.  A constraint dies, and the branch with it, when no color is seen
+once and either it is complete or all k colors are seen at least twice.
+Colors are only added on the path to a full leaf, so neither case can
+regain a unique color and the prune is sound.  The search runs as a
+loop over an explicit depth counter, so its depth is not bounded by
+Python's recursion limit.
 
 `find_unique_coloring` / `min_unique_coloring` work on an arbitrary
 family of vertex sets; the CF-CN / CF-ON entry points instantiate them
@@ -28,6 +32,8 @@ re-verify every witness they return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Sequence
 
 from .graph import Graph, SizeGuardError
@@ -46,14 +52,19 @@ class OracleResult:
 
 def _search_order(
     n: int, constraints: Sequence[Sequence[int]]
-) -> tuple[list[list[int]], list[int]]:
-    """The constraints each vertex is in, and the order the search colors
-    the vertices in.  Every constraint is scanned once, so this costs
-    O(sum |S|) plus sorting the n vertices by membership."""
+) -> tuple[tuple[list[int], list[int]], list[int]]:
+    """The order the search colors the vertices in, and per depth of
+    that order two constraint masks (bit i stands for constraint i): the
+    constraints of the vertex colored there, and those whose last member
+    it is.  Every constraint is scanned once, so this costs O(sum |S|)
+    updates of m-bit masks plus sorting the n vertices by membership."""
     member_of: list[list[int]] = [[] for _ in range(n)]
+    mask_of = [0] * n
     for ci, s in enumerate(constraints):
+        bit = 1 << ci
         for v in s:
             member_of[v].append(ci)
+            mask_of[v] |= bit
 
     def more_constraints_first(v: int) -> int:
         return -len(member_of[v])
@@ -80,83 +91,70 @@ def _search_order(
             batch.sort(key=more_constraints_first)
             order.extend(batch)
             head += 1
-    return member_of, order
+    masks = [mask_of[v] for v in order]
+    closes = [0] * n
+    later = 0  # the constraints of the vertices deeper than `depth`
+    for depth in range(n - 1, -1, -1):
+        grown = later | masks[depth]
+        closes[depth] = grown ^ later
+        later = grown
+    return (masks, closes), order
 
 
 def _search(
     k: int,
     constraints: Sequence[Sequence[int]],
-    member_of: list[list[int]],
+    prepared: tuple[list[int], list[int]],
     order: list[int],
 ) -> list[int] | None:
     """A k-coloring (k >= 1) giving every constraint a unique color, or
     None."""
-    left = [len(s) for s in constraints]  # uncolored members
-    if 0 in left:
+    if not all(constraints):
         return None
-    m = len(constraints)
-    counts = [[0] * k for _ in range(m)]
-    ones = [0] * m  # colors seen exactly once
-    twos = [0] * m  # colors seen at least twice
-
-    def undo(v: int, c: int, upto: int) -> None:
-        for ci in member_of[v][:upto]:
-            row = counts[ci]
-            x = row[c] - 1
-            row[c] = x
-            left[ci] += 1
-            if x == 0:
-                ones[ci] -= 1
-            elif x == 1:
-                ones[ci] += 1
-                twos[ci] -= 1
-
-    def assign(v: int, c: int) -> bool:
-        """Count color c for v; on a dead constraint, take it back."""
-        mem = member_of[v]
-        for j, ci in enumerate(mem):
-            row = counts[ci]
-            x = row[c]
-            row[c] = x + 1
-            rest = left[ci] - 1
-            left[ci] = rest
-            if x == 0:
-                ones[ci] += 1
-                continue
-            if x == 1:
-                once = ones[ci] = ones[ci] - 1
-                many = twos[ci] = twos[ci] + 1
-                dead = once == 0 and (rest == 0 or many == k)
-            else:
-                dead = rest == 0 and ones[ci] == 0
-            if dead:
-                undo(v, c, j + 1)
-                return False
-        return True
-
+    masks, closes = prepared
+    seen = [0] * k  # seen[c]: the constraints with color c at least once
+    twice = [0] * k  # twice[c]: those with color c at least twice
     n = len(order)
-    colors = [-1] * n
+    colors = [-1] * n  # by depth
     used = [0] * (n + 1)  # used[i]: distinct colors among the first i vertices
+    seen_before = [0] * n  # seen[c] and twice[c] before coloring depth i with c
+    twice_before = [0] * n
     depth = 0
     while depth < n:
-        v = order[depth]
-        c = colors[v]
+        c = colors[depth]
         if c >= 0:  # back from a dead subtree: take the old color back
-            undo(v, c, len(member_of[v]))
+            seen[c], twice[c] = seen_before[depth], twice_before[depth]
+        mask = masks[depth]
         top = min(used[depth], k - 1)
         c += 1
-        while c <= top and not assign(v, c):
-            c += 1
+        while c <= top:
+            a, b = seen[c], twice[c]
+            hit = mask & a  # only these can lose their last unique color
+            seen[c] = a | mask
+            if hit:
+                twice[c] = b | hit
+                # dead if seeing no color once and either complete (its
+                # last member is colored here) or seeing all k colors twice
+                doomed = hit & closes[depth] | reduce(and_, twice, hit)
+                if doomed and doomed & reduce(or_, map(xor, seen, twice)) != doomed:
+                    seen[c], twice[c] = a, b
+                    c += 1
+                    continue
+            break
         if c <= top:
-            colors[v] = c
+            colors[depth] = c
+            seen_before[depth], twice_before[depth] = a, b
             used[depth + 1] = max(used[depth], c + 1)
             depth += 1
         else:
-            colors[v] = -1
+            colors[depth] = -1
             if depth == 0:
                 return None
             depth -= 1
-    return colors
+    witness = [0] * n
+    for v, c in zip(order, colors):
+        witness[v] = c
+    return witness
 
 
 def find_unique_coloring(
@@ -174,9 +172,9 @@ def min_unique_coloring(
     n: int, constraints: Sequence[Sequence[int]], max_k: int
 ) -> tuple[int, list[int]] | None:
     """Smallest k <= max_k admitting a unique coloring, with a witness."""
-    member_of, order = _search_order(n, constraints)
+    prepared, order = _search_order(n, constraints)
     for k in range(1, max_k + 1):
-        witness = _search(k, constraints, member_of, order)
+        witness = _search(k, constraints, prepared, order)
         if witness is not None:
             return k, witness
     return None

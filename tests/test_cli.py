@@ -402,6 +402,16 @@ def test_gadget_encode_and_validate(tmp_path, capsys):
     assert code == 3  # 18-vertex gadget trips the default guard
 
 
+def test_gadget_validate_refuses_long_path(tmp_path, capsys):
+    # the 6002-vertex gadget is refused by the guard, not by a crash in
+    # the source's coloring
+    text = "p cf 1500 1499\n" + "".join(f"e {i} {i + 1}\n" for i in range(1499))
+    path = put(tmp_path, "path.cf", text)
+    code, pairs, _ = run(capsys, "gadget", "validate", "--k", "3", path)
+    assert code == 3
+    assert "6002 vertices" in pairs["error"]
+
+
 def test_gadget_encode_errors(tmp_path, capsys):
     g = put(tmp_path, "k3.cf", K3)
     code, pairs, _ = run(capsys, "gadget", "encode", "--k", "2", g)

@@ -159,6 +159,24 @@ def test_header_at_vertex_limit_parses_in_bounded_memory(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_line_reader_keeps_large_header_small(tmp_path):
+    # a comment routes a header-only file at the limit to the line
+    # reader, which must not hold a container per declared vertex
+    path = tmp_path / "limit.cf"
+    path.write_text(f"c x\np cf {MAX_VERTICES} 0\n")
+    script = (
+        "import pathlib, resource, sys\n"
+        "from cfcolor.graph import parse_graph\n"
+        "assert parse_graph(pathlib.Path(sys.argv[1]).read_text()).n == int(sys.argv[2])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = Path(graph_module.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(MAX_VERTICES)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 150 * 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_canonical_text_skips_line_reader(monkeypatch):
     def refuse(text):
         raise AssertionError("canonical text reached the line reader")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cfcolor import coloring as coloring_module
 from cfcolor import hardness
 from cfcolor.graph import Graph, SizeGuardError
 from cfcolor.coloring import Coloring, VerifyResult, verify_cfon
@@ -158,6 +159,50 @@ def test_cross_validate_c5():
 def test_cross_validate_respects_size_guard():
     with pytest.raises(SizeGuardError):
         cross_validate(C5, 3)
+
+
+def test_cross_validate_checks_guard_before_work(monkeypatch):
+    # a 1500-vertex path makes a 6002-vertex gadget: refused before the
+    # gadget is built or the source colored
+    def refuse(*args):
+        raise AssertionError("work done before the size guard")
+
+    monkeypatch.setattr(hardness, "encode", refuse)
+    monkeypatch.setattr(hardness, "properly_colorable", refuse)
+    path = Graph(1500, [(i, i + 1) for i in range(1499)])
+    with pytest.raises(SizeGuardError, match="6002 vertices"):
+        cross_validate(path, 3)
+    with pytest.raises(SizeGuardError, match="23 vertices"):
+        cross_validate(C5, 3, limit=22)
+    # a bad k is a usage error, whatever the size
+    with pytest.raises(ValueError, match="k >= 3"):
+        cross_validate(path, 2)
+
+
+def test_cross_validate_long_path_without_limit():
+    # 1100 vertices, beyond Python's default recursion limit of 1000
+    path = Graph(1100, [(i, i + 1) for i in range(1099)])
+    assert properly_colorable(path, 2) == (0, 1) * 550
+    rep = cross_validate(path, 3, limit=None)
+    assert rep.source_yes and rep.gadget_yes and rep.match
+
+
+def test_cross_validate_verifies_each_coloring_once(monkeypatch):
+    # a yes instance verifies the forward extension and the oracle's
+    # witness once each; decode reuses the oracle's verdict
+    calls = []
+
+    def counting(coloring):
+        calls.append(coloring)
+        return verify_cfon(coloring)
+
+    monkeypatch.setattr(coloring_module, "verify_cfon", counting)
+    monkeypatch.setattr(hardness, "verify_cfon", counting)
+    assert cross_validate(C5, 3, limit=None).decoded is not None
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    calls.clear()
+    assert cross_validate(K4, 3, limit=None).decoded is None
+    assert calls == []
 
 
 def test_oracle_witness_decodes_k2():

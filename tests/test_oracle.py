@@ -2,10 +2,15 @@
 
 The reference below enumerates all k^n colorings and filters through the
 verifier; it shares nothing with the production search (no pruning, no
-symmetry breaking), so agreement is a genuine cross-check.
+symmetry breaking), so agreement is a genuine cross-check.  A second
+reference, `counting_search`, is the search with per-constraint color
+counts that the bitmask search replaced: the two visit the same tree, so
+they must return the same witness, not just agree on feasibility.
 """
 
+import hashlib
 import itertools
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,15 +153,15 @@ def has_unique(colors, s):
 
 
 @st.composite
-def constraint_families(draw):
+def constraint_families(draw, max_n=6, max_sets=8, max_k=3):
     """Nonempty sets over a subset of the vertices, so that some vertices
     may lie in no set, as in the kernel cores of `fpt`."""
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     covered = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     sets = draw(st.lists(
-        st.sets(st.sampled_from(covered), min_size=1).map(sorted), max_size=8
+        st.sets(st.sampled_from(covered), min_size=1).map(sorted), max_size=max_sets
     ))
-    return n, sets, draw(st.integers(0, 3))
+    return n, sets, draw(st.integers(0, max_k))
 
 
 @settings(max_examples=300, deadline=None)
@@ -175,6 +180,118 @@ def test_find_unique_coloring_matches_brute_force(family):
     if witness is not None:
         assert len(witness) == n and all(0 <= c < k for c in witness)
         assert all(has_unique(witness, s) for s in sets)
+
+
+def counting_search(
+    k: int,
+    constraints: Sequence[Sequence[int]],
+    member_of: list[list[int]],
+    order: list[int],
+) -> list[int] | None:
+    """A k-coloring (k >= 1) giving every constraint a unique color, or
+    None."""
+    left = [len(s) for s in constraints]  # uncolored members
+    if 0 in left:
+        return None
+    m = len(constraints)
+    counts = [[0] * k for _ in range(m)]
+    ones = [0] * m  # colors seen exactly once
+    twos = [0] * m  # colors seen at least twice
+
+    def undo(v: int, c: int, upto: int) -> None:
+        for ci in member_of[v][:upto]:
+            row = counts[ci]
+            x = row[c] - 1
+            row[c] = x
+            left[ci] += 1
+            if x == 0:
+                ones[ci] -= 1
+            elif x == 1:
+                ones[ci] += 1
+                twos[ci] -= 1
+
+    def assign(v: int, c: int) -> bool:
+        """Count color c for v; on a dead constraint, take it back."""
+        mem = member_of[v]
+        for j, ci in enumerate(mem):
+            row = counts[ci]
+            x = row[c]
+            row[c] = x + 1
+            rest = left[ci] - 1
+            left[ci] = rest
+            if x == 0:
+                ones[ci] += 1
+                continue
+            if x == 1:
+                once = ones[ci] = ones[ci] - 1
+                many = twos[ci] = twos[ci] + 1
+                dead = once == 0 and (rest == 0 or many == k)
+            else:
+                dead = rest == 0 and ones[ci] == 0
+            if dead:
+                undo(v, c, j + 1)
+                return False
+        return True
+
+    n = len(order)
+    colors = [-1] * n
+    used = [0] * (n + 1)  # used[i]: distinct colors among the first i vertices
+    depth = 0
+    while depth < n:
+        v = order[depth]
+        c = colors[v]
+        if c >= 0:  # back from a dead subtree: take the old color back
+            undo(v, c, len(member_of[v]))
+        top = min(used[depth], k - 1)
+        c += 1
+        while c <= top and not assign(v, c):
+            c += 1
+        if c <= top:
+            colors[v] = c
+            used[depth + 1] = max(used[depth], c + 1)
+            depth += 1
+        else:
+            colors[v] = -1
+            if depth == 0:
+                return None
+            depth -= 1
+    return colors
+
+
+def counting_find_unique_coloring(n, constraints, k):
+    """`find_unique_coloring` on `counting_search`, in the same order."""
+    if k <= 0:
+        return None if n or constraints else []
+    member_of = [[] for _ in range(n)]
+    for ci, s in enumerate(constraints):
+        for v in s:
+            member_of[v].append(ci)
+    _, order = oracle._search_order(n, constraints)
+    return counting_search(k, constraints, member_of, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_families(max_n=10, max_sets=12, max_k=4))
+@example((5, [[0, 3, 4], [0, 1, 2, 4], [3], [0, 2], [0, 1, 3], [1, 2, 4]], 2))
+@example((3, [[0, 1], []], 3))
+def test_find_unique_coloring_matches_counting_search(family):
+    n, sets, k = family
+    assert find_unique_coloring(n, sets, k) == counting_find_unique_coloring(n, sets, k)
+
+
+def test_exact_witnesses_pinned():
+    # sha256 over repr((chromatic, witness colors)) of exact_cf on 440
+    # seeded G(n, p) graphs, n 6-16, p 0.3 and 0.5, both variants; the
+    # search order, value order and symmetry break fix every witness
+    h = hashlib.sha256()
+    for n in range(6, 17):
+        for p in (0.3, 0.5):
+            for s in range(20):
+                g = random_graph(n, p, s)
+                for variant in ("cn", "on"):
+                    res = exact_cf(g, variant)
+                    h.update(repr((res.chromatic, res.witness.colors if res.witness else None)).encode())
+    assert h.hexdigest() == "1bbf73190163ad4cd2f6ec73ed25511f8eb5757cbbf7326e2414804651450d7e"
 
 
 def test_find_unique_coloring_empty_set_is_infeasible():
