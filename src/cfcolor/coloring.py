@@ -6,6 +6,14 @@ some color exactly once, and on open neighborhoods (CF-ON) when every
 N(v) does.  An isolated vertex has empty N(v), so no coloring is ever
 CF-ON valid for a graph with isolated vertices.
 
+The verifiers first mark every neighbourhood served by a color used
+exactly once in the whole graph: when no other vertex has u's color, it
+is unique in N[w] and N(w) for every neighbour w of u, and in N[u].
+This costs the degrees of the singleton-colored vertices.  Only the
+vertices left unmarked have their neighbourhood colors counted, in id
+order; a marked vertex never fails, so the verdict, the failing vertex
+and its reason are those of counting every vertex.
+
 The "number of colors" of a coloring is the number of distinct values
 used, not max+1.
 
@@ -15,7 +23,9 @@ vertex exactly once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable
 
 from .graph import Graph, GraphFormatError
@@ -39,9 +49,9 @@ class Coloring:
             raise ValueError(
                 f"coloring has {len(self.colors)} entries for {self.graph.n} vertices"
             )
-        for v, c in enumerate(self.colors):
-            if c < 0:
-                raise ValueError(f"negative color {c} at vertex {v}")
+        if min(self.colors, default=0) < 0:
+            v, c = next((v, c) for v, c in enumerate(self.colors) if c < 0)
+            raise ValueError(f"negative color {c} at vertex {v}")
 
     @property
     def num_colors(self) -> int:
@@ -86,13 +96,37 @@ def has_unique_color(coloring: Coloring, vertices: Iterable[int]) -> int | None:
     return min(unique) if unique else None
 
 
+def _verify(coloring: Coloring, variant: str) -> VerifyResult:
+    """The body of both verifiers: the neighbourhoods a singleton color
+    class serves first, then a per-vertex count on the rest, in id
+    order, so the first failing vertex is the smallest one."""
+    g, colors = coloring.graph, coloring.colors
+    closed = variant == VARIANT_CN
+    # a color used once in the whole graph is unique in every
+    # neighbourhood its vertex lies in, and u lies in N[w] and N(w)
+    # exactly for w in N(u), plus w = u in N[u]
+    last = dict(zip(colors, range(g.n)))
+    singles = [last[c] for c, k in Counter(colors).items() if k == 1]
+    served = set(singles) if closed else set()
+    for u in singles:
+        served.update(g.neighbors(u))
+    if len(served) == g.n:
+        return VerifyResult(True)
+    for v in filterfalse(served.__contains__, range(g.n)):
+        nb = g.neighbors(v)
+        if closed:
+            if not _unique_colors(colors, nb, v):
+                return VerifyResult(False, v, f"no unique color in N[{v}]")
+        elif not nb:
+            return VerifyResult(False, v, f"vertex {v} is isolated, N({v}) is empty")
+        elif not _unique_colors(colors, nb):
+            return VerifyResult(False, v, f"no unique color in N({v})")
+    return VerifyResult(True)
+
+
 def verify_cfcn(coloring: Coloring) -> VerifyResult:
     """Accept iff every closed neighborhood has a uniquely occurring color."""
-    g, colors = coloring.graph, coloring.colors
-    for v in range(g.n):
-        if not _unique_colors(colors, g.neighbors(v), v):
-            return VerifyResult(False, v, f"no unique color in N[{v}]")
-    return VerifyResult(True)
+    return _verify(coloring, VARIANT_CN)
 
 
 def verify_cfon(coloring: Coloring) -> VerifyResult:
@@ -101,14 +135,7 @@ def verify_cfon(coloring: Coloring) -> VerifyResult:
     An isolated vertex is rejected outright: its open neighborhood is
     empty and cannot contain a unique color.
     """
-    g, colors = coloring.graph, coloring.colors
-    for v in range(g.n):
-        nb = g.neighbors(v)
-        if not nb:
-            return VerifyResult(False, v, f"vertex {v} is isolated, N({v}) is empty")
-        if not _unique_colors(colors, nb):
-            return VerifyResult(False, v, f"no unique color in N({v})")
-    return VerifyResult(True)
+    return _verify(coloring, VARIANT_ON)
 
 
 def verify(coloring: Coloring, variant: str) -> VerifyResult:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .graph import Graph, induced_subgraph
 from .coloring import Coloring, VARIANT_CN, VARIANT_ON, has_unique_color, neighborhood, verify
 from .oracle import DEFAULT_LIMIT, decide_cf, find_unique_coloring
-from .graphclasses import Modulator, neighbours_inside
+from .graphclasses import Modulator
 from .polysolve import (
     EXACT,
     UPPER_BOUND,
@@ -103,8 +103,15 @@ def _check_modulator(
     return _residual(g, m, expected)
 
 
-def _type_mask(g: Graph, x_index: dict[int, int], v: int) -> int:
-    return sum(1 << x_index[u] for u in g.neighbors(v) if u in x_index)
+def _type_masks(g: Graph, x: tuple[int, ...]) -> list[int]:
+    """mask[v] has bit i set iff v is adjacent to x[i]: built from X's
+    side, so it costs the degrees of X rather than of the whole graph."""
+    mask = [0] * g.n
+    for i, xv in enumerate(x):
+        bit = 1 << i
+        for u in g.neighbors(xv):
+            mask[u] |= bit
+    return mask
 
 
 @dataclass(frozen=True)
@@ -140,12 +147,12 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
 def _types(
     g: Graph, x: tuple[int, ...], cliques: list[tuple[int, ...]]
 ) -> tuple[CliqueTypes, ...]:
-    x_index = {xv: i for i, xv in enumerate(x)}
+    mask = _type_masks(g, x)
     out = []
     for clique in cliques:
         by_type: dict[int, list[int]] = {}
         for v in clique:  # clique is sorted, so classes stay sorted
-            by_type.setdefault(_type_mask(g, x_index, v), []).append(v)
+            by_type.setdefault(mask[v], []).append(v)
         out.append(
             CliqueTypes(
                 clique,
@@ -221,8 +228,7 @@ def reduce_cfon(g: Graph, m: Modulator, k: int) -> KernelInstance:
 
 def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring:
     """Extend a kernel coloring to the full graph, deleted cliques first."""
-    x = tuple(inst.kept[i] for i in inst.x)
-    x_index = {xv: i for i, xv in enumerate(x)}
+    mask = _type_masks(g, tuple(inst.kept[i] for i in inst.x))
     colors: dict[int, int] = {
         orig: kernel_coloring.colors[i] for i, orig in enumerate(inst.kept)
     }
@@ -248,7 +254,7 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
             marked.add(rep_of_vertex[orig])
 
     def class_members(rep: int, y: int) -> list[int]:
-        return [v for v in post1_by_rep[rep] if _type_mask(g, x_index, v) == y]
+        return [v for v in post1_by_rep[rep] if mask[v] == y]
 
     for rep, _srep in inst.deleted_cliques:
         mt = tau_by_rep[rep]
@@ -259,10 +265,14 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
             for dv, sv in zip(class_members(rep, y), class_members(survivor, y)):
                 colors[dv] = colors[sv]
 
+    # every deleted twin of one (clique, class) takes the same color
     need = 2 if inst.variant == VARIANT_CN else 3
+    duplicated: dict[tuple[int, int], int] = {}
     for v, rep, y in inst.deleted_vertices:
-        counts = Counter(colors[u] for u in class_members(rep, y))
-        colors[v] = min(c for c, cnt in counts.items() if cnt >= need)
+        if (rep, y) not in duplicated:
+            counts = Counter(colors[u] for u in class_members(rep, y))
+            duplicated[rep, y] = min(c for c, cnt in counts.items() if cnt >= need)
+        colors[v] = duplicated[rep, y]
 
     return Coloring(g, tuple(colors[v] for v in range(g.n)))
 
@@ -297,11 +307,13 @@ def solve_via_kernel(
 # --- threshold-modulator approximation -------------------------------------
 
 
-def _component_universal(g: Graph, comp: tuple[int, ...]) -> int:
+def _component_universal(g: Graph, comp: tuple[int, ...], mask: list[int]) -> int:
     """Smallest member adjacent to all others; exists in any connected
-    threshold graph."""
-    for v, k in zip(comp, neighbours_inside(g, comp, set(comp))):
-        if k == len(comp) - 1:
+    threshold graph.  `comp` is a component of G-X and mask[v] holds
+    v's neighbours in X (`_type_masks`), so v's neighbours in comp are
+    its degree less the bits of its mask."""
+    for v in comp:
+        if g.degree(v) - mask[v].bit_count() == len(comp) - 1:
             return v
     raise SelfCheckError("residual component has no universal vertex")
 
@@ -327,7 +339,7 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
         raise ValueError("isolated vertex: no open-neighborhood coloring exists")
     if not x:
         return _threshold_base(g, variant)
-    x_index = {xv: i for i, xv in enumerate(x)}
+    mask = _type_masks(g, x)
 
     singles = [c[0] for c in comps if len(c) == 1]
     bigs = [c for c in comps if len(c) >= 2]
@@ -338,7 +350,7 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
     single_set = set(singles)
     classes: dict[tuple[int, bool], list[int]] = {}
     for v in sorted({u for xv in x for u in g.neighbors(xv)} - set(x)):
-        classes.setdefault((_type_mask(g, x_index, v), v in single_set), []).append(v)
+        classes.setdefault((mask[v], v in single_set), []).append(v)
 
     for kstar in range(1, g.n + 2):
         kept = sorted(
@@ -355,7 +367,8 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
         witness = find_unique_coloring(len(kept), csets, kstar)
         if witness is not None:
             break
-    assert witness is not None, "all-distinct coloring satisfies every constraint"
+    else:
+        raise SelfCheckError("the core has no coloring, not even an all-distinct one")
 
     colors = [0] * g.n  # smallest used color fills the unconstrained rest
     for i, v in enumerate(kept):
@@ -370,10 +383,11 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
 
     # two residual components each holding an edge would induce a pair of
     # disjoint edges, impossible in a threshold graph
-    assert len(bigs) <= 1
+    if len(bigs) > 1:
+        raise SelfCheckError(f"G-X has {len(bigs)} components with an edge, threshold allows one")
     fresh = kstar
     for comp in bigs:
-        u = _component_universal(g, comp)
+        u = _component_universal(g, comp, mask)
         colors[u] = fresh
         fresh += 1
         if variant == VARIANT_ON:

@@ -15,9 +15,11 @@ Edge lines use 0-based endpoints; the canonical writer emits them sorted
 lexicographically with u < v.  Duplicate edge lines collapse to one edge;
 self-loops are a hard error.
 
-A header may declare at most MAX_VERTICES vertices: the readers
-allocate one neighbour list per declared vertex, so a larger count is a
-format error rather than an allocation the text cannot justify.
+A header may declare at most MAX_VERTICES vertices: a graph holds one
+neighbour tuple per declared vertex, so a larger count is a format error
+rather than an allocation the text cannot justify.  The line reader
+gives a list only to vertices on some edge, the bulk reader only to ids
+up to the largest endpoint; every other vertex shares the empty tuple.
 
 The reader takes canonical text (what `write_graph` emits without a
 comment) in bulk: one pattern match, one split, and C-level checks of
@@ -153,16 +155,18 @@ def parse_graph(text: str) -> Graph:
         us = list(map(int, tokens[5::3]))
         vs = list(map(int, tokens[6::3]))
         keys = list(map(operator.add, map(operator.mul, us, repeat(n)), vs))
-        if (n <= MAX_VERTICES and len(us) == m and (not vs or max(vs) < n)
+        top = max(vs, default=-1)  # u < v, so the largest endpoint
+        if (n <= MAX_VERTICES and len(us) == m and top < n
                 and all(map(operator.lt, us, vs)) and all(map(operator.lt, keys, keys[1:]))):
             # in lexicographic order each vertex meets its smaller
             # neighbours first, each in increasing order, then its
-            # larger ones: appending keeps every list sorted
-            adj: list[list[int]] = [[] for _ in range(n)]
+            # larger ones: appending keeps every list sorted; a vertex
+            # above the largest endpoint has no edge and shares ()
+            adj: list[list[int]] = [[] for _ in range(top + 1)]
             for u, v in zip(us, vs):
                 adj[u].append(v)
                 adj[v].append(u)
-            return Graph._trusted(tuple(map(tuple, adj)))
+            return Graph._trusted((*map(tuple, adj), *repeat((), n - top - 1)))
     return _parse_lines(text)
 
 
@@ -272,8 +276,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
             raise ValueError(f"vertex {v} not in graph")
     relabel = {v: i for i, v in enumerate(vs)}
     # the relabeling preserves order, so each neighbour tuple stays sorted
-    adj = tuple(
-        tuple(relabel[u] for u in g.neighbors(v) if u in relabel) for v in vs)
+    adj = tuple(tuple(map(relabel.__getitem__, filter(relabel.__contains__, g.neighbors(v))))
+                for v in vs)
     return Graph._trusted(adj), relabel
 
 

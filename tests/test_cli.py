@@ -465,6 +465,16 @@ def test_solver_defect_exits_4(tmp_path, capsys, monkeypatch):
     assert code == 4 and "re-verification" in pairs["error"]
 
 
+def test_approx_self_check_exits_4(tmp_path, capsys, monkeypatch):
+    # the approximation's own checks raise SelfCheckError, not assert
+    import cfcolor.fpt as fpt
+
+    monkeypatch.setattr(fpt, "find_unique_coloring", lambda n, sets, k: None)
+    g = put(tmp_path, "c5.cf", C5)
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "approx", g)
+    assert code == 4 and "the core has no coloring" in pairs["error"]
+
+
 def test_uncaught_exception_exits_5(tmp_path, capsys, monkeypatch):
     # a crash is an internal defect: its own exit code and an error line,
     # never a traceback that exits 1, the code for NO

@@ -1,12 +1,22 @@
-"""Verifier semantics: unique colors, CF-CN / CF-ON verdicts, file I/O."""
+"""Verifier semantics: unique colors, CF-CN / CF-ON verdicts, file I/O.
 
+`counting_verify_cfcn` and `counting_verify_cfon` are the verifiers that
+the singleton-first ones replaced: they count the colors around every
+vertex in id order.  Both versions must return the same verdict, failing
+vertex and reason.
+"""
+
+import itertools
 import random
+from typing import Iterable
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import cfcolor.coloring as coloring_module
 from cfcolor.coloring import (
     Coloring,
+    VerifyResult,
     has_unique_color,
     parse_coloring,
     verify,
@@ -14,8 +24,11 @@ from cfcolor.coloring import (
     verify_cfon,
     write_coloring,
 )
+from cfcolor.fpt import _threshold_base
+from cfcolor.generators import random_split, random_threshold
 from cfcolor.graph import Graph, GraphFormatError
-from strategies import colored_graphs
+from cfcolor.polysolve import solve_split_cfcn
+from strategies import colored_graphs, graphs, labeled_graphs
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -120,3 +133,100 @@ def test_verdict_invariant_under_relabeling(gc):
         assert verify(Coloring(g, colors), variant).ok == verify(
             Coloring(relabeled, tuple(new_colors)), variant
         ).ok
+
+
+# --- the per-vertex counting verifiers, kept as references ------------------
+
+
+def counting_unique_colors(
+    colors: tuple[int, ...], vertices: Iterable[int], own: int | None = None
+) -> list[int]:
+    """The colors occurring exactly once among `vertices` plus, when
+    given, the vertex `own`: N[v] is counted as N(v) and v itself,
+    without building the closed neighborhood."""
+    counts: dict[int, int] = {} if own is None else {colors[own]: 1}
+    for v in vertices:
+        c = colors[v]
+        counts[c] = counts.get(c, 0) + 1
+    return [c for c, k in counts.items() if k == 1]
+
+
+def counting_verify_cfcn(coloring: Coloring) -> VerifyResult:
+    """Accept iff every closed neighborhood has a uniquely occurring color."""
+    g, colors = coloring.graph, coloring.colors
+    for v in range(g.n):
+        if not counting_unique_colors(colors, g.neighbors(v), v):
+            return VerifyResult(False, v, f"no unique color in N[{v}]")
+    return VerifyResult(True)
+
+
+def counting_verify_cfon(coloring: Coloring) -> VerifyResult:
+    """Accept iff every open neighborhood has a uniquely occurring color.
+
+    An isolated vertex is rejected outright: its open neighborhood is
+    empty and cannot contain a unique color.
+    """
+    g, colors = coloring.graph, coloring.colors
+    for v in range(g.n):
+        nb = g.neighbors(v)
+        if not nb:
+            return VerifyResult(False, v, f"vertex {v} is isolated, N({v}) is empty")
+        if not counting_unique_colors(colors, nb):
+            return VerifyResult(False, v, f"no unique color in N({v})")
+    return VerifyResult(True)
+
+
+def _same_verdicts(g, colors):
+    c = Coloring(g, tuple(colors))
+    for new, old in ((verify_cfcn, counting_verify_cfcn), (verify_cfon, counting_verify_cfon)):
+        a, b = new(c), old(c)
+        assert (a.ok, a.failing_vertex, a.reason) == (b.ok, b.failing_vertex, b.reason)
+
+
+def test_verifiers_match_counting_exhaustive():
+    # every labeled graph on at most 4 vertices under every coloring
+    # from 0..3: 16 384 colorings on 4 vertices alone
+    _same_verdicts(Graph(0), ())
+    for g in labeled_graphs(4):
+        for colors in itertools.product(range(4), repeat=g.n):
+            _same_verdicts(g, colors)
+
+
+@st.composite
+def verifier_inputs(draw):
+    """Graphs on up to 14 vertices, some of them cut loose into isolated
+    vertices, colored from a palette of random size, with some vertices
+    given a color of their own."""
+    g = draw(graphs(min_n=1, max_n=14))
+    cut = draw(st.sets(st.integers(0, g.n - 1), max_size=3))
+    g = Graph(g.n, [e for e in g.edges if not cut.intersection(e)])
+    top = draw(st.integers(0, g.n))
+    colors = draw(st.lists(st.integers(0, top), min_size=g.n, max_size=g.n))
+    for v in draw(st.sets(st.integers(0, g.n - 1))):
+        colors[v] = top + 1 + v
+    return g, colors
+
+
+@given(verifier_inputs())
+def test_verifiers_match_counting(gc):
+    _same_verdicts(*gc)
+
+
+def test_singleton_served_skips_count(monkeypatch):
+    # every vertex lies in N[u] (closed) or N(u) (open) of a vertex u
+    # whose color is used once, so no neighbourhood is counted
+    def refuse(*args):
+        raise AssertionError("a neighbourhood was counted")
+
+    monkeypatch.setattr(coloring_module, "_unique_colors", refuse)
+    split = 0
+    for s in range(40):
+        g, p = random_split(4 + s % 9, s)
+        if any(g.degree(v) == g.n - 1 for v in range(g.n)) and g.m:
+            assert verify_cfcn(solve_split_cfcn(g, p).coloring)
+            split += 1
+        g, _ = random_threshold(2 + s % 12, s)  # connected: a universal vertex
+        for variant in ("cn", "on"):
+            out = _threshold_base(g, variant)
+            assert verify(Coloring(g, out.coloring.colors), variant)
+    assert split == 18

@@ -15,8 +15,10 @@ from cfcolor.graphclasses import (
     threshold_modulator,
 )
 from cfcolor.oracle import decide_cf, exact_cf
+from cfcolor.polysolve import SelfCheckError
 from cfcolor.fpt import (
     _component_universal,
+    _type_masks,
     approx_cfcn_threshold,
     approx_cfon_threshold,
     compute_types,
@@ -250,6 +252,44 @@ def test_approx_errors():
         approx_cfon_threshold(Graph(3, [(0, 1)]), Modulator((), "threshold"))
 
 
+def test_approx_core_without_witness_raises(monkeypatch):
+    # an explicit check, so it also holds under `python -O`
+    import cfcolor.fpt as fpt
+
+    monkeypatch.setattr(fpt, "find_unique_coloring", lambda n, sets, k: None)
+    g, m = random_threshold_modulator_instance(12, 1, 3)
+    for approx in (approx_cfcn_threshold, approx_cfon_threshold):
+        with pytest.raises(SelfCheckError, match="the core has no coloring"):
+            approx(g, m)
+
+
+def test_approx_two_residual_edges_raise(monkeypatch):
+    # X = {0} joined to two disjoint edges: G-X is 2K2, not threshold.
+    # A modulator check that let it through must not yield a coloring
+    import cfcolor.fpt as fpt
+
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+    monkeypatch.setattr(fpt, "_check_modulator",
+                        lambda g, m, expected: ((0,), [(1, 2), (3, 4)]))
+    for approx in (approx_cfcn_threshold, approx_cfon_threshold):
+        with pytest.raises(SelfCheckError, match="2 components with an edge"):
+            approx(g, Modulator((0,), "threshold"))
+
+
+def _per_vertex_mask(g, x_index, v):
+    # the mask as computed before `_type_masks`, from v's side
+    return sum(1 << x_index[u] for u in g.neighbors(v) if u in x_index)
+
+
+def test_type_masks_match_per_vertex_mask():
+    for s in range(40):
+        for g, m in (random_cluster_modulator_instance(8 + s % 17, s % 4, s),
+                     random_threshold_modulator_instance(10 + s % 30, s % 3, s)):
+            x = tuple(sorted(m.vertices))
+            x_index = {xv: i for i, xv in enumerate(x)}
+            assert _type_masks(g, x) == [_per_vertex_mask(g, x_index, v) for v in range(g.n)]
+
+
 def test_residual_split_builds_no_graph(monkeypatch):
     # the split of G-X and the search for a component's universal member
     # work on vertex sets of the input graph and build no Graph
@@ -266,8 +306,9 @@ def test_residual_split_builds_no_graph(monkeypatch):
     for g, m in cases:
         comps = residual_components(g, m)
         assert comps is not None
+        mask = _type_masks(g, tuple(sorted(m.vertices)))
         for comp in comps:
-            u = _component_universal(g, comp)
+            u = _component_universal(g, comp, mask)
             assert all(g.has_edge(u, v) for v in comp if v != u)
 
 

@@ -177,6 +177,31 @@ def test_line_reader_keeps_large_header_small(tmp_path):
     assert int(proc.stdout) < 150 * 1024  # ru_maxrss is in KiB on Linux
 
 
+@pytest.mark.parametrize("edges", ["", "e 0 1\n"])
+def test_bulk_reader_keeps_large_header_small(tmp_path, edges):
+    # canonical text at the limit goes to the bulk reader, which gives a
+    # list only to ids up to the largest edge endpoint.  The peak is the
+    # child's VmHWM: on Linux a child's ru_maxrss starts at its parent's
+    # high-water mark, which is the test runner's own
+    path = tmp_path / "limit.cf"
+    path.write_text(f"p cf {MAX_VERTICES} {edges.count('e')}\n{edges}")
+    script = (
+        "import pathlib, sys\n"
+        "from cfcolor import graph\n"
+        "def refuse(text): raise AssertionError('canonical text reached the line reader')\n"
+        "graph._parse_lines = refuse\n"
+        "assert graph.parse_graph(pathlib.Path(sys.argv[1]).read_text()).n == int(sys.argv[2])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n"
+    )
+    src = Path(graph_module.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script, str(path), str(MAX_VERTICES)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    # a list per declared vertex peaks near 90 MB, a shared () near 30 MB
+    assert int(proc.stdout) < 60 * 1024  # kB
+
+
 def test_canonical_text_skips_line_reader(monkeypatch):
     def refuse(text):
         raise AssertionError("canonical text reached the line reader")
