@@ -9,10 +9,14 @@ CF-ON valid for a graph with isolated vertices.
 The verifiers first mark every neighbourhood served by a color used
 exactly once in the whole graph: when no other vertex has u's color, it
 is unique in N[w] and N(w) for every neighbour w of u, and in N[u].
-This costs the degrees of the singleton-colored vertices.  Only the
-vertices left unmarked have their neighbourhood colors counted, in id
-order; a marked vertex never fails, so the verdict, the failing vertex
-and its reason are those of counting every vertex.
+This costs the degrees of the singleton-colored vertices, and the
+positions of the singletons are only looked up when some color is used
+exactly once.  The vertices left unmarked are then taken in id order.
+Under cn a vertex whose color no neighbour shares is served by its own
+color, with no count, as in every proper coloring; only the rest have
+their neighbourhood colors counted.  A marked or self-served vertex
+never fails, so the verdict, the failing vertex and its reason are
+those of counting every vertex.
 
 The "number of colors" of a coloring is the number of distinct values
 used, not max+1.
@@ -98,24 +102,30 @@ def has_unique_color(coloring: Coloring, vertices: Iterable[int]) -> int | None:
 
 def _verify(coloring: Coloring, variant: str) -> VerifyResult:
     """The body of both verifiers: the neighbourhoods a singleton color
-    class serves first, then a per-vertex count on the rest, in id
-    order, so the first failing vertex is the smallest one."""
+    class serves first, then, in id order, the own-color rule (cn) and
+    a per-vertex count on the rest, so the first failing vertex is the
+    smallest one."""
     g, colors = coloring.graph, coloring.colors
     closed = variant == VARIANT_CN
     # a color used once in the whole graph is unique in every
     # neighbourhood its vertex lies in, and u lies in N[w] and N(w)
     # exactly for w in N(u), plus w = u in N[u]
-    last = dict(zip(colors, range(g.n)))
-    singles = [last[c] for c, k in Counter(colors).items() if k == 1]
-    served = set(singles) if closed else set()
-    for u in singles:
-        served.update(g.neighbors(u))
-    if len(served) == g.n:
-        return VerifyResult(True)
+    counts = Counter(colors)
+    served: set[int] = set()
+    if 1 in counts.values():
+        last = dict(zip(colors, range(g.n)))
+        singles = [last[c] for c, k in counts.items() if k == 1]
+        if closed:
+            served.update(singles)
+        for u in singles:
+            served.update(g.neighbors(u))
+        if len(served) == g.n:
+            return VerifyResult(True)
     for v in filterfalse(served.__contains__, range(g.n)):
         nb = g.neighbors(v)
         if closed:
-            if not _unique_colors(colors, nb, v):
+            # v's own color is unique in N[v] when no neighbour shares it
+            if colors[v] in map(colors.__getitem__, nb) and not _unique_colors(colors, nb, v):
                 return VerifyResult(False, v, f"no unique color in N[{v}]")
         elif not nb:
             return VerifyResult(False, v, f"vertex {v} is isolated, N({v}) is empty")

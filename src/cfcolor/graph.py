@@ -22,7 +22,8 @@ gives a list only to vertices on some edge, the bulk reader only to ids
 up to the largest endpoint; every other vertex shares the empty tuple.
 
 The reader takes canonical text (what `write_graph` emits without a
-comment) in bulk: one pattern match, one split, and C-level checks of
+comment) in bulk: one pattern match, one split, one conversion per
+distinct endpoint token, and C-level checks of
 the vertex and edge counts, the id range and the order (u < v, which
 rules out self-loops, and each edge after the one before, which rules
 out duplicates).  Any other text, or canonical-looking text that fails
@@ -152,8 +153,10 @@ def parse_graph(text: str) -> Graph:
     if match:
         n, m = int(match[1]), int(match[2])
         tokens = text.split()
-        us = list(map(int, tokens[5::3]))
-        vs = list(map(int, tokens[6::3]))
+        # at most n distinct ids: each distinct token is converted once
+        ids = {t: int(t) for t in {*tokens[5::3], *tokens[6::3]}}
+        us = list(map(ids.__getitem__, tokens[5::3]))
+        vs = list(map(ids.__getitem__, tokens[6::3]))
         keys = list(map(operator.add, map(operator.mul, us, repeat(n)), vs))
         top = max(vs, default=-1)  # u < v, so the largest endpoint
         if (n <= MAX_VERTICES and len(us) == m and top < n

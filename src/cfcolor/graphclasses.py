@@ -12,7 +12,9 @@ Split recognition uses the degree-sequence characterization: with
 degrees d_1 >= ... >= d_n and m = max{i : d_i >= i-1}, the graph is
 split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, in which case the m
 vertices of largest degree (ties broken by smaller id) form a maximum
-clique and the rest are independent.
+clique and the rest are independent.  `split_by_degrees` is that step
+alone; `is_split` also checks the partition it gives, and the split
+solver uses it to tell whether its input partition is the canonical one.
 
 The modular decomposition is the simplified top-down one: a Parallel
 node when the module is disconnected, a Series node when its complement
@@ -33,9 +35,15 @@ Cluster and threshold graphs are each decided by one check of G minus
 a removed vertex set, which returns the certificate or else a forbidden
 induced subgraph: a P3 for cluster, a 2K2, P4 or C4 for threshold.  The
 recognizers run it with nothing removed.  The modulator search (Cai
-1996) branches on its obstruction, 3 or 4 ways, deepening one size at a
-time (0, 1, ..., budget), and stops at the first size with a hitting
-set, returning the lexicographically smallest sorted one.
+1996) first packs vertex-disjoint obstructions greedily, each found by
+the check with the earlier ones removed; every modulator hits each of
+them, so their count is a lower bound, and packing stops with no
+answer once the count passes the budget.  Otherwise it branches on the check's obstruction, 3
+or 4 ways, deepening one size at a time from the bound up to the
+budget, and stops at the first size with a hitting set, returning the
+lexicographically smallest sorted one.  One search runs the check once
+per distinct removed set: a memo keyed by the set serves the other
+branch orders and the later sizes.
 
 `residual_components` is the one split of G-X, which the lemma1
 constructions, the kernel and the threshold approximation take: the
@@ -47,6 +55,7 @@ check's sort by degree, and build no subgraph.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -121,25 +130,33 @@ def neighbours_inside(g: Graph, vertices, inside: set[int]) -> list[int]:
     return [len(inside.intersection(g.neighbors(v))) for v in vertices]
 
 
-def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
-    if g.n == 0:
-        return True, SplitPartition((), ())
-    degs = sorted(((g.degree(v), v) for v in range(g.n)), key=lambda t: (-t[0], t[1]))
-    d = [t[0] for t in degs]
-    m = 0
-    for i in range(1, g.n + 1):
-        if d[i - 1] >= i - 1:
-            m = i
+def split_by_degrees(g: Graph) -> SplitPartition | None:
+    """The degree step of split recognition: the m vertices of largest
+    degree (ties to the smaller id) against the rest when the degree
+    sequence says the graph is split, else None.  It reads degrees
+    only; `is_split` checks the partition it gives."""
+    deg = list(map(g.degree, range(g.n)))
+    # a reversed sort is still stable: equal degrees keep increasing ids
+    order = sorted(range(g.n), key=deg.__getitem__, reverse=True)
+    d = list(map(deg.__getitem__, order))
+    # d_i - (i - 1) strictly decreases, so the i with d_i >= i - 1 are a prefix
+    m = sum(map(operator.ge, d, range(g.n)))
     if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
+        return None
+    return SplitPartition(tuple(sorted(order[:m])), tuple(sorted(order[m:])))
+
+
+def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
+    p = split_by_degrees(g)
+    if p is None:
         return False, None
-    clique = tuple(sorted(v for _, v in degs[:m]))
-    independent = tuple(sorted(v for _, v in degs[m:]))
+    clique, independent = p.clique, p.independent
     # the characterization guarantees this partition is valid; check anyway
-    assert all(k == m - 1 for k in neighbours_inside(g, clique, set(clique))), \
+    assert all(k == len(clique) - 1 for k in neighbours_inside(g, clique, set(clique))), \
         "degree characterization produced a non-clique"
     assert not any(neighbours_inside(g, independent, set(independent))), \
         "degree characterization produced a non-stable set"
-    return True, SplitPartition(clique, independent)
+    return True, p
 
 
 def is_threshold(g: Graph) -> tuple[bool, tuple[tuple[int, str], ...] | None]:
@@ -379,7 +396,13 @@ _CLASS_CHECKS = {"cluster": _cluster_check, "threshold": _threshold_check}
 
 def _branch_modulator(g: Graph, budget: int, residual_class: str) -> Modulator | None:
     """Bounded branching on forbidden induced subgraphs, deepened one
-    size at a time.
+    size at a time from a packing lower bound.
+
+    The bound comes first: check G-U, add the returned obstruction to
+    U, and repeat until the check passes or the count passes the
+    budget, so at most budget + 1 checks.  The packed obstructions are
+    vertex-disjoint, so every modulator holds a vertex of each, and
+    their count is a lower bound; above the budget there is no answer.
 
     At size s every branch removes one vertex of the obstruction that
     the class's check returns, down to depth s; the first size with a
@@ -387,30 +410,50 @@ def _branch_modulator(g: Graph, budget: int, residual_class: str) -> Modulator |
     smallest sorted tuple is returned.  Which obstruction is branched on does
     not matter: from any minimum hitting set H, the branch that picks
     a vertex of H in each obstruction ends at the leaf H, so the leaves
-    at the minimum size are exactly the minimum hitting sets.
+    at the minimum size are exactly the minimum hitting sets.  A set
+    met again, in another branch order or at a larger size, reuses its
+    check's answer.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
     check = _CLASS_CHECKS[residual_class]
+    answers: dict[frozenset[int], tuple[int, ...] | None] = {}
+
+    def obstruction(removed: set[int]) -> tuple[int, ...] | None:
+        key = frozenset(removed)
+        if key not in answers:
+            answers[key] = check(g, removed)[1]
+        return answers[key]
+
+    # at most budget + 1 packed sets of at most 4 (budget + 1) vertices
+    # each enter the memo
+    packed: set[int] = set()
+    bound = 0
+    while (disjoint := obstruction(packed)) is not None:
+        bound += 1
+        if bound > budget:
+            return None
+        packed.update(disjoint)
+
     removed: set[int] = set()
     best: tuple[int, ...] | None = None
 
     def rec(depth_left: int) -> None:
         nonlocal best
-        _, obstruction = check(g, removed)
-        if obstruction is None:
+        found = obstruction(removed)
+        if found is None:
             cand = tuple(sorted(removed))
             if best is None or cand < best:
                 best = cand
             return
         if depth_left == 0:
             return
-        for v in obstruction:
+        for v in found:
             removed.add(v)
             rec(depth_left - 1)
             removed.remove(v)
 
-    for size in range(budget + 1):
+    for size in range(bound, budget + 1):
         rec(size)
         if best is not None:
             return Modulator(best, residual_class)

@@ -28,9 +28,9 @@ from .graphclasses import (
     SplitPartition,
     has_prime_node,
     is_bipartite,
-    is_split,
     neighbours_inside,
     residual_components,
+    split_by_degrees,
 )
 
 EXACT = "exact"
@@ -113,6 +113,12 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     new independent side (it is not adjacent to v, again because C is
     maximum), so that works only when the new clique is {w} alone,
     i.e. |C| = 1, where (C, I) already works.
+
+    The canonical partition comes from the degree sequence alone.  The
+    input partition, checked first, shows that g is split, and then the
+    degree characterization makes the canonical C a clique, so the rest
+    of a clique vertex's neighbours are independent and
+    ci[v] = deg(v) - (|C| - 1), with nothing recounted.
     """
     cset, iset = set(p.clique), set(p.independent)
     if cset & iset or (cset | iset) != set(range(g.n)):
@@ -129,10 +135,10 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
 
     # probe the canonical maximum-clique partition (recomputed, so a
     # non-canonical input partition cannot weaken the decision)
-    ok, canonical = is_split(g)
-    assert ok and canonical is not None
+    canonical = split_by_degrees(g)
+    assert canonical is not None  # the checked input shows g is split
     c = canonical.clique
-    ci = neighbours_inside(g, c, set(canonical.independent))
+    ci = [g.degree(v) - (len(c) - 1) for v in c]
     zeros = ci.count(0)
     zero_side = None  # the clique side of a partition whose 2-coloring works
     if len(c) == 1 or ci.count(1) == len(c):

@@ -102,6 +102,46 @@ def graph_texts(draw, max_n: int = 6):
     return "".join(line + sep for line, sep in zip(lines, seps))
 
 
+# field spellings for the coloring and interval formats: integers and
+# rationals in canonical and other forms, refused ones among them
+# (`1/0`, exponents, words, over 4300 digits), and non-ASCII digits
+FIELD_LITERALS = ("0", "1", "2", "-1", "007", "+3", "-0", "1_0", "7/2", "-7/2", "1/0",
+                  "0/5", "1.5", ".5", "\uff13", "\u0663", "1e3", "1E3", "nan", "inf",
+                  "0x10", "x", "9" * 4301, "1/" + "9" * 4301)
+
+
+@st.composite
+def record_texts(draw, tag: str, fields: int, max_n: int = 4):
+    """Text in and around a `<tag> <vertex> <field>...` record format:
+    records with ids from -1 to max_n + 1 and fields spelled from
+    FIELD_LITERALS, records with too few or too many fields, comments,
+    blank lines, other tags and arbitrary text, joined by any of the
+    `str.splitlines` separators."""
+    def token():
+        return draw(st.one_of(st.integers(-1, max_n + 1).map(str), st.sampled_from(FIELD_LITERALS)))
+
+    lines = []
+    for _ in range(draw(st.integers(0, max_n + 3))):
+        kind = draw(st.sampled_from(("record", "record", "record", "arity", "comment",
+                                     "blank", "tag", "text")))
+        if kind == "record":
+            lines.append(" ".join([tag] + [token() for _ in range(fields + 1)]))
+        elif kind == "arity":
+            size = draw(st.integers(0, fields + 3).filter(lambda k: k != fields + 1))
+            lines.append(" ".join([tag] + [token() for _ in range(size)]))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(("c", "c note", f"c{tag} 0 1"))))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(("", " ", "\t"))))
+        elif kind == "tag":
+            lines.append(" ".join([draw(st.sampled_from(("e", "p", "i", "v", "x")))]
+                                  + [token() for _ in range(fields + 1)]))
+        else:
+            lines.append(draw(st.text(max_size=12)))
+    seps = [draw(st.sampled_from(LINE_SEPARATORS)) for _ in lines]
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
 @st.composite
 def colored_graphs(draw, min_n: int = 1, max_n: int = 8):
     g = draw(graphs(min_n=min_n, max_n=max_n))

@@ -610,3 +610,46 @@ def test_console_script_installed(tmp_path):
     assert exe is not None
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0 and "cfcolor" in proc.stdout
+
+
+def _python_3_10():
+    """A Python 3.10 interpreter that starts, else None: `python3.10` on
+    PATH, then pyenv's 3.10 installs."""
+    pyenv = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [shutil.which("python3.10"),
+                  *map(str, sorted(pyenv.glob("versions/3.10.*/bin/python")))]
+    probe = "import sys; assert sys.version_info[:2] == (3, 10)"
+    for exe in filter(None, candidates):
+        if subprocess.run([exe, "-c", probe], capture_output=True).returncode == 0:
+            return exe
+    return None
+
+
+def test_minimum_python_runs_gen_solve_modulator(tmp_path):
+    """The declared minimum, requires-python >= 3.10, runs gen, solve
+    --strategy auto and modulator through `dispatch` as this
+    interpreter does: no syntax or library call of a later version."""
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    script = (
+        "from cfcolor.cli import dispatch\n"
+        "for klass, d in (('cluster-modulator', '2'), ('threshold-modulator', '1')):\n"
+        "    stem = klass + '-g'\n"
+        "    print(dispatch(['gen', '--class', klass, '--n', '10', '--seed', '3', '--d', d,\n"
+        "                    '--out', stem]))\n"
+        "    for variant in ('cn', 'on'):\n"
+        "        print(dispatch(['solve', '--variant', variant, '--strategy', 'auto', stem + '.cf']))\n"
+        "    print(dispatch(['modulator', '--class', klass.split('-')[0], '--budget', '3',\n"
+        "                    stem + '.cf']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cfcolor.__file__).resolve().parent.parent))
+    outputs = []
+    for python in (exe, sys.executable):
+        proc = subprocess.run([python, "-c", script], capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([line for line in proc.stdout.splitlines()
+                        if not line.startswith("time_ms:")])
+    assert outputs[0] == outputs[1]
+    assert "strategy: lemma1" in outputs[0] and "strategy: approx" in outputs[0]

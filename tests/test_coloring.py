@@ -11,7 +11,7 @@ import random
 from typing import Iterable
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cfcolor.coloring as coloring_module
 from cfcolor.coloring import (
@@ -25,10 +25,10 @@ from cfcolor.coloring import (
     write_coloring,
 )
 from cfcolor.fpt import _threshold_base
-from cfcolor.generators import random_split, random_threshold
+from cfcolor.generators import random_graph, random_split, random_threshold
 from cfcolor.graph import Graph, GraphFormatError
 from cfcolor.polysolve import solve_split_cfcn
-from strategies import colored_graphs, graphs, labeled_graphs
+from strategies import colored_graphs, graphs, labeled_graphs, record_texts
 
 P3 = Graph(3, [(0, 1), (1, 2)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -102,6 +102,17 @@ def test_parse_coloring_errors():
         parse_coloring("v 9 1\n", P3)
     with pytest.raises(GraphFormatError, match="malformed"):
         parse_coloring("v 0\n", P3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(min_n=1, max_n=4), record_texts("v", 1))
+def test_parse_coloring_total(g, text):
+    # every text yields a coloring or a format error, nothing else
+    try:
+        c = parse_coloring(text, g)
+    except GraphFormatError:
+        return
+    assert c.graph is g and len(c.colors) == g.n and min(c.colors) >= 0
 
 
 @given(colored_graphs(max_n=7))
@@ -210,6 +221,25 @@ def verifier_inputs(draw):
 @given(verifier_inputs())
 def test_verifiers_match_counting(gc):
     _same_verdicts(*gc)
+
+
+def test_proper_coloring_skips_count(monkeypatch):
+    # under cn a vertex whose color no neighbour shares is served by its
+    # own color: a proper coloring is accepted without a count
+    def refuse(*args):
+        raise AssertionError("a neighbourhood was counted")
+
+    monkeypatch.setattr(coloring_module, "_unique_colors", refuse)
+    grid = Graph(12, [(v, v + 1) for v in range(12) if v % 4 != 3]
+                 + [(v, v + 4) for v in range(8)])
+    assert verify_cfcn(Coloring(grid, tuple((v // 4 + v % 4) % 2 for v in range(12))))
+    for s in range(40):
+        g = random_graph(3 + s % 12, 0.5, s)
+        colors = [0] * g.n
+        for v in range(g.n):  # greedy: the smallest color no earlier neighbour has
+            taken = {colors[u] for u in g.neighbors(v) if u < v}
+            colors[v] = min(set(range(g.n)) - taken)
+        assert verify_cfcn(Coloring(g, tuple(colors)))
 
 
 def test_singleton_served_skips_count(monkeypatch):

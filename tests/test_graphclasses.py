@@ -5,8 +5,9 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+import cfcolor.graphclasses as graphclasses_module
 from cfcolor.graph import Graph, induced_subgraph
 from cfcolor.graphclasses import (
     Modulator,
@@ -359,6 +360,68 @@ def test_modulators_match_brute_force():
             assert cluster_modulator(g, len(want_c) - 1) is None
         if len(want_t) > 0:
             assert threshold_modulator(g, len(want_t) - 1) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=7), st.sampled_from(("cluster", "threshold")), st.integers(0, 7))
+def test_modulators_match_brute_force_up_to_7(g, residual_class, budget):
+    # the packing bound may only ever end a search that has no answer
+    accept = {"cluster": is_cluster, "threshold": is_threshold}[residual_class]
+    find = {"cluster": cluster_modulator, "threshold": threshold_modulator}[residual_class]
+    want = _brute_min_modulator(g, lambda h: accept(h)[0])
+    got = find(g, budget)
+    if len(want) > budget:
+        assert got is None
+    else:
+        assert got == Modulator(want, residual_class)
+
+
+def _counted_checks(monkeypatch):
+    """Wrap both class checks; the list collects each removed set checked."""
+    checked = []
+    for name, check in list(graphclasses_module._CLASS_CHECKS.items()):
+        def counted(g, removed, check=check):
+            checked.append(frozenset(removed))
+            return check(g, removed)
+        monkeypatch.setitem(graphclasses_module._CLASS_CHECKS, name, counted)
+    return checked
+
+
+def _disjoint_p3s(j):
+    return Graph(3 * j, [e for i in range(j) for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2))])
+
+
+@pytest.mark.parametrize("j", range(1, 6))
+def test_packed_p3s_refuse_under_budget_without_branching(monkeypatch, j):
+    # j disjoint P3s need j vertices: the j-th packed obstruction puts
+    # the bound over the budget j - 1, and the search stops there
+    g = _disjoint_p3s(j)
+    checked = _counted_checks(monkeypatch)
+    assert cluster_modulator(g, j - 1) is None
+    assert len(checked) == j
+    checked.clear()
+    assert cluster_modulator(g, j).vertices == tuple(3 * i for i in range(j))
+
+
+def test_packing_stops_at_the_budget(monkeypatch):
+    # 1000 disjoint P3s: packing them all would take 1000 checks
+    g = _disjoint_p3s(1000)
+    checked = _counted_checks(monkeypatch)
+    for find in (cluster_modulator, threshold_modulator):
+        checked.clear()
+        assert find(g, 6) is None
+        assert len(checked) <= 6 + 2, find.__name__
+
+
+def test_search_checks_each_removed_set_once(monkeypatch):
+    checked = _counted_checks(monkeypatch)
+    graphs_ = [*all_graphs_up_to(5), *modulator_pin_graphs(),
+               *(random_graph(12, 0.4, s) for s in range(4))]
+    for g in graphs_:
+        for find in (cluster_modulator, threshold_modulator):
+            checked.clear()
+            find(g, 6)
+            assert len(checked) == len(set(checked)), (g, find.__name__)
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,6 +23,8 @@ from cfcolor.interval import (
 )
 from cfcolor.generators import random_interval_instance
 
+from strategies import record_texts
+
 
 def rep_of(*pairs) -> IntervalRepresentation:
     return IntervalRepresentation(tuple((Fraction(l), Fraction(r)) for l, r in pairs))
@@ -65,6 +67,36 @@ def test_parse_rationals_and_comments():
 def test_parse_errors(text, message):
     with pytest.raises(GraphFormatError, match=message):
         parse_intervals(text, 2)
+
+
+@pytest.mark.parametrize("literal", ["0", "007", "+3", "-0", "1_0", "7/2", "-7/2", "1.5",
+                                     "\uff13", "\u0663", "1e3", "1E3", "1/0"])
+def test_parse_endpoint_is_fraction_of_literal(literal):
+    # an endpoint is Fraction(literal), a literal Fraction refuses is
+    # refused, and exponents are refused always
+    text = f"i 0 {literal} {literal}\n"
+    try:
+        want = None if "e" in literal.lower() else Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is None:
+        with pytest.raises(GraphFormatError, match="rational literal"):
+            parse_intervals(text, 1)
+    else:
+        left, right = parse_intervals(text, 1).intervals[0]
+        assert type(left) is Fraction and type(right) is Fraction
+        assert left == right == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), record_texts("i", 2))
+def test_parse_intervals_total(n, text):
+    # every text yields a representation or a format error, nothing else
+    try:
+        rep = parse_intervals(text, n)
+    except GraphFormatError:
+        return
+    assert rep.n == n and all(type(x) is Fraction for pair in rep.intervals for x in pair)
 
 
 # --- validation ------------------------------------------------------------

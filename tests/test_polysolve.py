@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 
+import cfcolor.polysolve as polysolve_module
 from cfcolor.graph import Graph
 from cfcolor.coloring import VARIANT_CN, VARIANT_ON, verify_cfcn, verify_cfon
 from cfcolor.graphclasses import (
@@ -14,6 +15,7 @@ from cfcolor.graphclasses import (
     is_cograph,
     is_split,
     modular_decomposition,
+    neighbours_inside,
 )
 from cfcolor.oracle import exact_cf
 from cfcolor.polysolve import (
@@ -26,6 +28,7 @@ from cfcolor.polysolve import (
     solve_split_cfcn,
 )
 from cfcolor.generators import (
+    connected_split_graphs,
     enumerate_small,
     random_cluster_modulator_instance,
     random_split,
@@ -158,6 +161,44 @@ def test_split_probe_ignores_noncanonical_partition():
         solve_split_cfcn(g, alt)  # (1,4) is an edge inside the claimed independent side
     alt2 = SplitPartition((0, 1), (2, 3, 4))
     assert solve_split_cfcn(g, alt2).colors_used == 2
+
+
+def _outcome(out):
+    return out.coloring.colors, out.colors_used, out.optimality, out.note
+
+
+def test_split_counts_read_from_degrees(monkeypatch):
+    # the two neighbours_inside passes validate the input partition; the
+    # canonical partition's counts come from the degrees
+    census = connected_split_graphs(7)
+    parts = [split_part(g) for g in census]
+    want = [_outcome(solve_split_cfcn(g, p)) for g, p in zip(census, parts)]
+    calls = []
+
+    def counted(g, vertices, inside):
+        calls.append(g)
+        return neighbours_inside(g, vertices, inside)
+
+    monkeypatch.setattr(polysolve_module, "neighbours_inside", counted)
+    assert [_outcome(solve_split_cfcn(g, p)) for g, p in zip(census, parts)] == want
+    assert len(calls) == 2 * len(census)
+    assert len(census) > 100
+
+
+def test_split_noncanonical_partitions_match_canonical():
+    # moving a clique vertex with no independent neighbour to the
+    # independent side gives another valid partition of the same graph
+    checked = 0
+    for g in connected_split_graphs(6):
+        p = split_part(g)
+        want = _outcome(solve_split_cfcn(g, p))
+        for v in p.clique:
+            if len(p.clique) > 1 and not set(g.neighbors(v)) & set(p.independent):
+                alt = SplitPartition(tuple(u for u in p.clique if u != v),
+                                     tuple(sorted((*p.independent, v))))
+                assert _outcome(solve_split_cfcn(g, alt)) == want, (g, alt)
+                checked += 1
+    assert checked > 20
 
 
 def test_split_outcomes_pinned():
