@@ -40,15 +40,8 @@ from pathlib import Path
 
 from . import __version__
 from .graph import Graph, GraphFormatError, SizeGuardError, parse_graph, write_graph
-from .coloring import (
-    Coloring,
-    VARIANT_CN,
-    VARIANT_ON,
-    VARIANTS,
-    parse_coloring,
-    verify,
-    write_coloring,
-)
+from .coloring import (EXACT, INFEASIBLE, VARIANT_CN, VARIANTS, Coloring, SelfCheckError,
+                       SolveOutcome, checked, feasible, parse_coloring, verify, write_coloring)
 from .oracle import DEFAULT_LIMIT, decide_cf, exact_cf
 from .graphclasses import (
     MDNode,
@@ -61,9 +54,6 @@ from .graphclasses import (
     threshold_modulator,
 )
 from .polysolve import (
-    EXACT,
-    SelfCheckError,
-    SolveOutcome,
     lemma1_cfcn,
     lemma1_cfon,
     solve_bipartite_cfcn,
@@ -154,13 +144,19 @@ def _tree_sexp(node: MDNode) -> str:
     return " ".join(tokens)
 
 
+def _find_modulator(g: Graph, residual: str, budget: int) -> Modulator | None:
+    """The searched modulator of the `residual` class; the finder is
+    looked up when this runs, not bound at import."""
+    finder = cluster_modulator if residual == "cluster" else threshold_modulator
+    return finder(g, budget)
+
+
 def _parse_modulator(g: Graph, spec: str, residual: str, budget: int, report: RunReport) -> Modulator:
     """`auto` searches within the budget; otherwise a comma-separated
     vertex list is trusted (the solvers re-validate the residual).  The
     modulator goes into the report."""
     if spec == "auto":
-        finder = cluster_modulator if residual == "cluster" else threshold_modulator
-        m = finder(g, budget)
+        m = _find_modulator(g, residual, budget)
         if m is None:
             raise ValueError(f"no {residual} modulator of size <= {budget}")
     else:
@@ -207,7 +203,7 @@ def _cmd_oracle(args, report: RunReport) -> int:
     result = exact_cf(g, args.variant, limit=limit)
     if result.infeasible:
         report.add("chromatic", "infeasible")
-        report.add("reason", "an isolated vertex leaves an open neighborhood empty")
+        report.add("reason", INFEASIBLE)
         return 1
     report.add("chromatic", result.chromatic)
     _emit(stem.with_suffix(f".{args.variant}.col"), write_coloring(result.witness), report, "witness_file")
@@ -288,9 +284,9 @@ def _cmd_solve(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
     rep = _load_intervals(args.intervals, g, report) if args.intervals else None
     limit = _limit(args.limit)
-    if args.variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
+    if not feasible(g, args.variant):
         report.add("result", "infeasible")
-        report.add("reason", "an isolated vertex leaves an open neighborhood empty")
+        report.add("reason", INFEASIBLE)
         return 1
 
     if args.strategy == "fpt":
@@ -316,11 +312,7 @@ def _cmd_solve(args, report: RunReport) -> int:
     strategy, outcome = _solve(g, args, rep, limit, report)
     # free for a coloring its solver already checked (the verdict is kept
     # on the coloring); a solver that skipped its check is caught here
-    verdict = verify(outcome.coloring, args.variant)
-    if not verdict:
-        raise SelfCheckError(
-            f"vertex {verdict.failing_vertex} fails re-verification ({verdict.reason})"
-        )
+    checked(outcome.coloring, args.variant, "re-verification")
     report.add("strategy", strategy)
     report.add("colors_used", outcome.colors_used)
     report.add("optimality", outcome.optimality)
@@ -365,8 +357,7 @@ def _cmd_recognize(args, report: RunReport) -> int:
 
 def _cmd_modulator(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
-    finder = cluster_modulator if args.klass == "cluster" else threshold_modulator
-    m = finder(g, args.budget)
+    m = _find_modulator(g, args.klass, args.budget)
     if m is None:
         report.add("modulator", "none")
         return 1
@@ -526,9 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="hardness reduction: proper k-coloring vs CF-ON k+2")
     p.add_argument("mode", choices=("encode", "validate"))
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                   help="oracle guard for validate; <= 0 disables")
-    p.add_argument("--out", help="artifact path stem (default: input stem)")
+    common(p, variant=False, limit=True, out=True)
     p.add_argument("graph")
     p.set_defaults(func=_cmd_gadget)
 

@@ -21,6 +21,11 @@ those of counting every vertex.
 The "number of colors" of a coloring is the number of distinct values
 used, not max+1.
 
+The rules every solver shares live here too: `feasible` (CF-ON needs a
+graph without isolated vertices) with its one refusal `INFEASIBLE`;
+`checked`, which turns a rejected coloring into a `SelfCheckError`; and
+`checked_outcome`, which builds the `SolveOutcome` solvers return.
+
 Coloring file format: one `v <vertex> <color>` line per vertex, every
 vertex exactly once.
 """
@@ -37,6 +42,16 @@ from .graph import Graph, GraphFormatError
 VARIANT_CN = "cn"
 VARIANT_ON = "on"
 VARIANTS = (VARIANT_CN, VARIANT_ON)
+
+EXACT = "exact"
+UPPER_BOUND = "upper-bound-only"
+
+INFEASIBLE = "an isolated vertex leaves an open neighborhood empty"
+
+
+class SelfCheckError(RuntimeError):
+    """A solver or reduction emitted a coloring the verifier rejects: an
+    internal defect, reported rather than returned."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +177,42 @@ def verify(coloring: Coloring, variant: str) -> VerifyResult:
             raise ValueError(f"unknown variant {variant!r}")
         coloring._verdicts[variant] = verdict
     return verdict
+
+
+def feasible(g: Graph, variant: str) -> bool:
+    """Whether some coloring of g is conflict-free under `variant`:
+    always under cn, and under on iff no vertex is isolated."""
+    return variant != VARIANT_ON or all(map(g.degree, range(g.n)))
+
+
+def require_feasible(g: Graph, variant: str) -> None:
+    """Refuse, with the one `INFEASIBLE` message, a graph no coloring
+    can serve."""
+    if not feasible(g, variant):
+        raise ValueError(INFEASIBLE)
+
+
+def checked(coloring: Coloring, variant: str, what: str) -> Coloring:
+    """The coloring, once `verify` accepts it; otherwise a
+    SelfCheckError naming `what` and the failing vertex."""
+    verdict = verify(coloring, variant)
+    if not verdict:
+        raise SelfCheckError(
+            f"vertex {verdict.failing_vertex} fails {what} ({verdict.reason})")
+    return coloring
+
+
+@dataclass(frozen=True)
+class SolveOutcome:
+    coloring: Coloring
+    colors_used: int
+    optimality: str  # EXACT or UPPER_BOUND
+    note: str = ""
+
+
+def checked_outcome(coloring: Coloring, variant: str, optimality: str, note: str = "") -> SolveOutcome:
+    checked(coloring, variant, "its solver's self-check")
+    return SolveOutcome(coloring, coloring.num_colors, optimality, note)
 
 
 def parse_coloring(text: str, g: Graph) -> Coloring:

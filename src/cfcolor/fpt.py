@@ -33,20 +33,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .graph import Graph, induced_subgraph
-from .coloring import Coloring, VARIANT_CN, VARIANT_ON, has_unique_color, neighborhood, verify
+from .coloring import (EXACT, UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SelfCheckError,
+                       SolveOutcome, checked, checked_outcome, has_unique_color, neighborhood,
+                       require_feasible)
 from .oracle import DEFAULT_LIMIT, decide_cf, find_unique_coloring
 from .graphclasses import Modulator
-from .polysolve import (
-    EXACT,
-    UPPER_BOUND,
-    SelfCheckError,
-    SolveOutcome,
-    _lemma1,
-    _residual,
-    checked_outcome,
-)
+from .polysolve import _lemma1, _residual
 
 MegaType = tuple[tuple[int, int], ...]
 
@@ -168,8 +164,7 @@ def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
     x, cliques = _check_modulator(g, m, "cluster")
     if k < 1:
         raise ValueError("need k >= 1")
-    if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
-        raise ValueError("isolated vertex: no open-neighborhood coloring exists")
+    require_feasible(g, variant)
     d = len(x)
 
     # above the construction threshold the answer is yes outright
@@ -218,12 +213,18 @@ def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
     )
 
 
-def reduce_cfcn(g: Graph, m: Modulator, k: int) -> KernelInstance:
-    return kernelize(g, m, k, VARIANT_CN)
-
-
-def reduce_cfon(g: Graph, m: Modulator, k: int) -> KernelInstance:
-    return kernelize(g, m, k, VARIANT_ON)
+def _fill_twins(colors: list[int] | dict[int, int], kept: list[int], dropped: list[int],
+                need: int) -> None:
+    """Give every dropped true twin the smallest color that at least
+    `need` of its kept twins share; the cap that kept them makes one
+    exist by pigeonhole.  That color is already repeated in every
+    neighbourhood holding the kept twins, so another copy there changes
+    no color's uniqueness.  Rule 1's lift and the approximation's core
+    both fill their dropped twins this way."""
+    counts = Counter(colors[u] for u in kept)
+    dup = min(c for c, cnt in counts.items() if cnt >= need)
+    for v in dropped:
+        colors[v] = dup
 
 
 def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring:
@@ -265,14 +266,11 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
             for dv, sv in zip(class_members(rep, y), class_members(survivor, y)):
                 colors[dv] = colors[sv]
 
-    # every deleted twin of one (clique, class) takes the same color
+    # a twin is in its own N[v] but not in its N(v), so under on a color
+    # must be tripled among the kept twins to stay repeated in each of them
     need = 2 if inst.variant == VARIANT_CN else 3
-    duplicated: dict[tuple[int, int], int] = {}
-    for v, rep, y in inst.deleted_vertices:
-        if (rep, y) not in duplicated:
-            counts = Counter(colors[u] for u in class_members(rep, y))
-            duplicated[rep, y] = min(c for c, cnt in counts.items() if cnt >= need)
-        colors[v] = duplicated[rep, y]
+    for (rep, y), dropped in groupby(inst.deleted_vertices, key=itemgetter(1, 2)):
+        _fill_twins(colors, class_members(rep, y), [v for v, _, _ in dropped], need)
 
     return Coloring(g, tuple(colors[v] for v in range(g.n)))
 
@@ -296,10 +294,8 @@ def solve_via_kernel(
     yes, kernel_witness = decide_cf(inst.graph, variant, k, limit=limit)
     if not yes:
         return KernelDecision(False, None, inst, note="kernel infeasible")
-    lifted = _lift(g, inst, kernel_witness)
-    if not verify(lifted, variant):
-        raise SelfCheckError("lifted coloring failed verification")
-    if len(set(lifted.colors)) > k:
+    lifted = checked(_lift(g, inst, kernel_witness), variant, "the lifted coloring's check")
+    if lifted.num_colors > k:
         raise SelfCheckError("lifted coloring exceeds the color budget")
     return KernelDecision(True, lifted, inst, note="lifted kernel witness")
 
@@ -335,8 +331,7 @@ def _threshold_base(g: Graph, variant: str) -> SolveOutcome:
 
 def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
     x, comps = _check_modulator(g, m, "threshold")
-    if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
-        raise ValueError("isolated vertex: no open-neighborhood coloring exists")
+    require_feasible(g, variant)
     if not x:
         return _threshold_base(g, variant)
     mask = _type_masks(g, x)
@@ -376,10 +371,7 @@ def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
     cap = kstar + 1  # the core kept the first cap members of each class
     for members in classes.values():
         if len(members) > cap:
-            counts = Counter(colors[v] for v in members[:cap])
-            dup = min(c for c, cnt in counts.items() if cnt >= 2)
-            for v in members[cap:]:
-                colors[v] = dup
+            _fill_twins(colors, members[:cap], members[cap:], 2)
 
     # two residual components each holding an edge would induce a pair of
     # disjoint edges, impossible in a threshold graph

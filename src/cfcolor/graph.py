@@ -104,16 +104,8 @@ class Graph:
     def closed_neighbors(self, v: int) -> tuple[int, ...]:
         # sorted tuple of N[v]; |N[v]| == |N(v)| + 1 always (no self-loops)
         nb = self._adj[v]
-        out = []
-        placed = False
-        for u in nb:
-            if not placed and v < u:
-                out.append(v)
-                placed = True
-            out.append(u)
-        if not placed:
-            out.append(v)
-        return tuple(out)
+        i = bisect_left(nb, v)
+        return nb[:i] + (v,) + nb[i:]
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

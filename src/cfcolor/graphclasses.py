@@ -13,8 +13,9 @@ degrees d_1 >= ... >= d_n and m = max{i : d_i >= i-1}, the graph is
 split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, in which case the m
 vertices of largest degree (ties broken by smaller id) form a maximum
 clique and the rest are independent.  `split_by_degrees` is that step
-alone; `is_split` also checks the partition it gives, and the split
-solver uses it to tell whether its input partition is the canonical one.
+and `is_split` returns its partition unchecked, as the characterization
+guarantees it; the split solver checks any partition it is given, and
+recomputes the canonical one from the degrees.
 
 The modular decomposition is the simplified top-down one: a Parallel
 node when the module is disconnected, a Series node when its complement
@@ -134,7 +135,7 @@ def split_by_degrees(g: Graph) -> SplitPartition | None:
     """The degree step of split recognition: the m vertices of largest
     degree (ties to the smaller id) against the rest when the degree
     sequence says the graph is split, else None.  It reads degrees
-    only; `is_split` checks the partition it gives."""
+    only."""
     deg = list(map(g.degree, range(g.n)))
     # a reversed sort is still stable: equal degrees keep increasing ids
     order = sorted(range(g.n), key=deg.__getitem__, reverse=True)
@@ -147,16 +148,11 @@ def split_by_degrees(g: Graph) -> SplitPartition | None:
 
 
 def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
+    """The degree characterization's verdict and partition: a maximum
+    clique against an independent set, valid by the characterization,
+    so it is not re-checked here.  O(n log n)."""
     p = split_by_degrees(g)
-    if p is None:
-        return False, None
-    clique, independent = p.clique, p.independent
-    # the characterization guarantees this partition is valid; check anyway
-    assert all(k == len(clique) - 1 for k in neighbours_inside(g, clique, set(clique))), \
-        "degree characterization produced a non-clique"
-    assert not any(neighbours_inside(g, independent, set(independent))), \
-        "degree characterization produced a non-stable set"
-    return True, p
+    return p is not None, p
 
 
 def is_threshold(g: Graph) -> tuple[bool, tuple[tuple[int, str], ...] | None]:

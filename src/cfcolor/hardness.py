@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, SizeGuardError
-from .coloring import Coloring, VARIANT_ON, verify, verify_cfon
+from .coloring import Coloring, VARIANT_ON, checked, verify
 from .oracle import DEFAULT_LIMIT, decide_cf
-from .polysolve import SelfCheckError
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,7 @@ def forward_coloring(inst: GadgetInstance, source: Coloring) -> Coloring:
             raise ValueError(f"edge {u}-{v} is monochromatic")
     colors = list(source.colors) + [k, k + 1]
     colors += [k - 1] * len(inst.independent)
-    coloring = Coloring(inst.graph, tuple(colors))
-    if not verify_cfon(coloring):
-        raise SelfCheckError("gadget extension of a proper coloring is not conflict-free")
-    return coloring
+    return checked(Coloring(inst.graph, tuple(colors)), VARIANT_ON, "the gadget extension's check")
 
 
 def decode(inst: GadgetInstance, ch: Coloring) -> Coloring:

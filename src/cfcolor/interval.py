@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, GraphFormatError, is_connected
-from .coloring import VARIANT_CN, VARIANT_ON, Coloring
-from .polysolve import UPPER_BOUND, SolveOutcome, checked_outcome
+from .coloring import (UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SolveOutcome,
+                       checked_outcome)
 
 
 @dataclass(frozen=True)

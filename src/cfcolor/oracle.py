@@ -37,8 +37,7 @@ from operator import and_, or_, xor
 from typing import Sequence
 
 from .graph import Graph, SizeGuardError
-from .coloring import VARIANT_ON, Coloring, neighborhood, verify
-from .polysolve import SelfCheckError
+from .coloring import Coloring, checked, feasible, neighborhood
 
 DEFAULT_LIMIT = 16
 
@@ -191,13 +190,6 @@ def _check_guard(g: Graph, limit: int | None) -> None:
         )
 
 
-def _verified(g: Graph, colors: list[int], variant: str) -> Coloring:
-    witness = Coloring(g, tuple(colors))
-    if not verify(witness, variant):
-        raise SelfCheckError("oracle witness failed verification")
-    return witness
-
-
 def exact_cf(
     g: Graph, variant: str, max_k: int | None = None, limit: int | None = DEFAULT_LIMIT
 ) -> OracleResult:
@@ -207,7 +199,7 @@ def exact_cf(
     n distinct colors always suffice otherwise, so the search is bounded.
     """
     _check_guard(g, limit)
-    if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
+    if not feasible(g, variant):
         return OracleResult(None, None, infeasible=True)
     if g.n == 0:
         return OracleResult(0, Coloring(g, ()))
@@ -216,7 +208,8 @@ def exact_cf(
     if found is None:
         return OracleResult(None, None)
     k, colors = found
-    return OracleResult(k, _verified(g, colors, variant))
+    witness = checked(Coloring(g, tuple(colors)), variant, "the oracle's witness check")
+    return OracleResult(k, witness)
 
 
 def decide_cf(
@@ -226,11 +219,11 @@ def decide_cf(
     _check_guard(g, limit)
     if k < 0:
         raise ValueError("k must be non-negative")
-    if variant == VARIANT_ON and any(g.degree(v) == 0 for v in range(g.n)):
+    if not feasible(g, variant):
         return False, None
     if g.n == 0:
         return True, Coloring(g, ())
     colors = find_unique_coloring(g.n, _neighborhood_constraints(g, variant), k)
     if colors is None:
         return False, None
-    return True, _verified(g, colors, variant)
+    return True, checked(Coloring(g, tuple(colors)), variant, "the oracle's witness check")

@@ -11,17 +11,18 @@ Four families:
   cluster graph: d+2 colors for closed neighborhoods, 2d+2 for open
   neighborhoods (with one documented degenerate corner).
 
-Every construction re-verifies its own output before returning; a
-verifier rejection here is an internal defect, reported as
-``SelfCheckError`` rather than a silent bad answer.
+Every construction re-verifies its own output before returning, through
+``coloring.checked_outcome``: a verifier rejection here is an internal
+defect, reported as ``coloring.SelfCheckError`` rather than a silent bad
+answer.  The outcome type and its ``EXACT``/``UPPER_BOUND`` flags live in
+``coloring`` too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph
-from .coloring import VARIANT_CN, VARIANT_ON, Coloring, verify
+from .coloring import (EXACT, UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SolveOutcome,
+                       checked_outcome, require_feasible)
 from .graphclasses import (
     Modulator,
     MDNode,
@@ -32,31 +33,6 @@ from .graphclasses import (
     residual_components,
     split_by_degrees,
 )
-
-EXACT = "exact"
-UPPER_BOUND = "upper-bound-only"
-
-
-class SelfCheckError(RuntimeError):
-    """A solver emitted a coloring its own verifier rejects."""
-
-
-@dataclass(frozen=True)
-class SolveOutcome:
-    coloring: Coloring
-    colors_used: int
-    optimality: str
-    note: str = ""
-
-
-def checked_outcome(coloring: Coloring, variant: str, optimality: str, note: str = "") -> SolveOutcome:
-    verdict = verify(coloring, variant)
-    if not verdict:
-        raise SelfCheckError(
-            f"internal defect: vertex {verdict.failing_vertex} fails ({verdict.reason})"
-        )
-    return SolveOutcome(coloring, coloring.num_colors, optimality, note)
-
 
 def _universal_shortcut(g: Graph) -> SolveOutcome | None:
     """The first universal vertex 1 and every other vertex 0, an exact
@@ -179,8 +155,7 @@ def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
     if has_prime_node(t):
         raise ValueError("decomposition tree has a prime node (not a cograph)")
     if g.n == 1:
-        if variant == VARIANT_ON:
-            raise ValueError("single vertex is isolated: no open-neighborhood coloring")
+        require_feasible(g, variant)
         return checked_outcome(Coloring(g, (0,)), VARIANT_CN, EXACT)
     if t.kind != "series":
         raise ValueError("root is not a series node (graph disconnected?)")
@@ -232,8 +207,7 @@ def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
     clique uses max(2d+2, 3) = 3) and flags the outcome.
     """
     x, cliques = _residual(g, m, "cluster")
-    if any(g.degree(v) == 0 for v in range(g.n)):
-        raise ValueError("isolated vertex: no open-neighborhood coloring exists")
+    require_feasible(g, VARIANT_ON)
     return _lemma1(g, x, cliques, VARIANT_ON)
 
 

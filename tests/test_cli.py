@@ -12,9 +12,9 @@ import pytest
 
 import cfcolor
 from cfcolor.cli import build_parser, dispatch
-from cfcolor.coloring import Coloring, parse_coloring, verify
-from cfcolor.fpt import provenance, reduce_cfcn
-from cfcolor.generators import random_threshold
+from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify
+from cfcolor.fpt import kernelize, provenance
+from cfcolor.generators import random_split, random_threshold
 from cfcolor.graph import Graph, parse_graph, write_graph
 from cfcolor.graphclasses import Modulator, is_cograph
 from cfcolor.polysolve import SolveOutcome
@@ -185,6 +185,29 @@ def test_solve_auto_p4_uses_split(tmp_path, capsys):
     assert pairs["optimality"] == "exact"
     coloring = parse_coloring((tmp_path / "p4.cn.col").read_text(), parse_graph(P4))
     assert verify(coloring, "cn")
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_solve_auto_split_checks_the_partition_once(tmp_path, capsys, monkeypatch, seed):
+    # is_split trusts the degree characterization, so the split solver's
+    # clique and independence checks are the only two neighbourhood passes
+    import cfcolor.graphclasses as graphclasses
+    import cfcolor.polysolve as polysolve
+
+    calls = []
+    original = graphclasses.neighbours_inside
+
+    def counted(g, vertices, inside):
+        calls.append(g)
+        return original(g, vertices, inside)
+
+    monkeypatch.setattr(graphclasses, "neighbours_inside", counted)
+    monkeypatch.setattr(polysolve, "neighbours_inside", counted)
+    text = P4 if seed is None else write_graph(random_split(40, seed)[0])
+    code, pairs, _ = run(capsys, "solve", "--strategy", "auto", "--variant", "cn",
+                         put(tmp_path, "s.cf", text))
+    assert code == 0 and pairs["strategy"] == "split"
+    assert len(calls) == 2
 
 
 def test_solve_auto_tiers(tmp_path, capsys):
@@ -364,7 +387,7 @@ def test_kernelize_artifacts(tmp_path, capsys):
                          "--modulator", "1", g)
     assert code == 0 and pairs["short_circuit"] == "no"
     kernel = parse_graph((tmp_path / "p4.kernel.cf").read_text())
-    inst = reduce_cfcn(parse_graph(P4), Modulator((1,), "cluster"), 2)
+    inst = kernelize(parse_graph(P4), Modulator((1,), "cluster"), 2, VARIANT_CN)
     assert kernel == inst.graph
     prov = (tmp_path / "p4.prov").read_text().strip()
     assert prov == "\n".join(provenance(inst)).strip()

@@ -15,10 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 import cfcolor.coloring as coloring_module
 from cfcolor.coloring import (
+    INFEASIBLE,
+    VARIANT_CN,
+    VARIANT_ON,
     Coloring,
+    SelfCheckError,
     VerifyResult,
+    checked,
+    feasible,
     has_unique_color,
     parse_coloring,
+    require_feasible,
     verify,
     verify_cfcn,
     verify_cfon,
@@ -86,6 +93,39 @@ def test_coloring_validation():
         Coloring(K2, (0,))
     with pytest.raises(ValueError):
         Coloring(K2, (0, -1))
+
+
+@pytest.mark.parametrize("g,on_feasible", [
+    (Graph(0), True),
+    (Graph(1), False),
+    (K2, True),
+    (Graph(3, [(0, 1)]), False),  # K2 plus an isolated vertex
+])
+def test_feasible(g, on_feasible):
+    assert feasible(g, VARIANT_CN)
+    require_feasible(g, VARIANT_CN)
+    assert feasible(g, VARIANT_ON) == on_feasible
+    if on_feasible:
+        require_feasible(g, VARIANT_ON)
+    else:
+        with pytest.raises(ValueError, match="isolated") as info:
+            require_feasible(g, VARIANT_ON)
+        assert str(info.value) == INFEASIBLE
+
+
+def test_checked_returns_the_accepted_coloring():
+    c = Coloring(P3, (0, 1, 0))
+    assert checked(c, VARIANT_CN, "the test's check") is c
+
+
+def test_checked_names_what_and_the_failing_vertex():
+    with pytest.raises(SelfCheckError) as info:
+        checked(Coloring(P3, (0, 0, 0)), VARIANT_CN, "the test's check")
+    assert "the test's check" in str(info.value)
+    assert "vertex 0 " in str(info.value)
+    with pytest.raises(SelfCheckError) as info:
+        checked(Coloring(Graph(3, [(1, 2)]), (0, 1, 2)), VARIANT_ON, "the open check")
+    assert "the open check" in str(info.value) and "vertex 0 " in str(info.value)
 
 
 def test_round_trip():

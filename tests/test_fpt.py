@@ -7,7 +7,7 @@ import pytest
 
 from cfcolor import graph
 from cfcolor.graph import Graph
-from cfcolor.coloring import VARIANT_CN, VARIANT_ON, verify
+from cfcolor.coloring import VARIANT_CN, VARIANT_ON, SelfCheckError, verify
 from cfcolor.graphclasses import (
     Modulator,
     cluster_modulator,
@@ -15,7 +15,6 @@ from cfcolor.graphclasses import (
     threshold_modulator,
 )
 from cfcolor.oracle import decide_cf, exact_cf
-from cfcolor.polysolve import SelfCheckError
 from cfcolor.fpt import (
     _component_universal,
     _type_masks,
@@ -23,9 +22,8 @@ from cfcolor.fpt import (
     approx_cfon_threshold,
     compute_types,
     kernel_size_bound,
+    kernelize,
     provenance,
-    reduce_cfcn,
-    reduce_cfon,
     rule1_cap,
     solve_via_kernel,
 )
@@ -86,18 +84,18 @@ def test_rule1_caps():
 def test_twin_rule_on_complete_graph():
     # one clique, one modulator vertex: all ten residual vertices share a
     # type, so the closed variant keeps k+1 = 3 of them
-    inst = reduce_cfcn(K11, Modulator((10,), "cluster"), 2)
+    inst = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_CN)
     assert inst.kept == (0, 1, 2, 10)
     assert inst.graph.n == 4 and inst.graph.m == 6
     assert inst.x == (3,)
     assert inst.deleted_vertices == tuple((v, 0, 1) for v in range(3, 10))
     assert inst.deleted_cliques == ()
-    inst_on = reduce_cfon(K11, Modulator((10,), "cluster"), 2)
+    inst_on = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_ON)
     assert inst_on.graph.n == 6  # open cap is 2k+1 = 5
 
 def test_clique_rule_on_star():
     # five singleton leaf cliques of identical type: d+1 = 2 survive
-    inst = reduce_cfcn(STAR6, Modulator((0,), "cluster"), 2)
+    inst = kernelize(STAR6, Modulator((0,), "cluster"), 2, VARIANT_CN)
     assert inst.kept == (0, 1, 2)
     assert inst.deleted_cliques == ((3, 1), (4, 1), (5, 1))
     assert inst.cliques_after_rule1 == ((1,), (2,), (3,), (4,), (5,))
@@ -105,21 +103,21 @@ def test_clique_rule_on_star():
 
 
 def test_provenance_lines():
-    inst = reduce_cfcn(STAR6, Modulator((0,), "cluster"), 2)
+    inst = kernelize(STAR6, Modulator((0,), "cluster"), 2, VARIANT_CN)
     lines = provenance(inst)
     assert lines == ["dc 3 1", "dc 4 1", "dc 5 1"]
-    inst2 = reduce_cfcn(K11, Modulator((10,), "cluster"), 2)
+    inst2 = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_CN)
     assert all(re.fullmatch(r"dv \d+ \d+ \d+", l) for l in provenance(inst2))
 
 
 def test_reduce_is_deterministic():
-    a = reduce_cfcn(K11, Modulator((10,), "cluster"), 2)
-    b = reduce_cfcn(K11, Modulator((10,), "cluster"), 2)
+    a = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_CN)
+    b = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_CN)
     assert a == b
 
 
 def test_short_circuit_above_threshold():
-    inst = reduce_cfcn(K3, Modulator((), "cluster"), 2)  # k >= d+2
+    inst = kernelize(K3, Modulator((), "cluster"), 2, VARIANT_CN)  # k >= d+2
     assert inst.short_circuit is not None
     assert inst.graph.n == 0 and provenance(inst) == []
     dec = solve_via_kernel(K3, Modulator((), "cluster"), 2, VARIANT_CN)
@@ -137,15 +135,15 @@ def test_short_circuit_checks_the_modulator_once(monkeypatch):
     monkeypatch.setattr(polysolve, "residual_components",
                         lambda g, m: calls.append(m) or check(g, m))
     monkeypatch.setattr(fpt, "_types", None)
-    for reduce in (reduce_cfcn, reduce_cfon):
+    for variant in (VARIANT_CN, VARIANT_ON):
         calls.clear()
-        inst = reduce(STAR6, Modulator((0,), "cluster"), 4)
+        inst = kernelize(STAR6, Modulator((0,), "cluster"), 4, variant)
         assert inst.short_circuit is not None and len(calls) == 1
 
 
 def test_open_short_circuit_guard():
     # k = 2d+2 = 2 does not cover the lone-clique repair, which needs 3
-    assert reduce_cfon(K3, Modulator((), "cluster"), 2).short_circuit is None
+    assert kernelize(K3, Modulator((), "cluster"), 2, VARIANT_ON).short_circuit is None
     dec = solve_via_kernel(K3, Modulator((), "cluster"), 2, VARIANT_ON)
     assert not dec.yes
     dec3 = solve_via_kernel(K3, Modulator((), "cluster"), 3, VARIANT_ON)
@@ -155,13 +153,13 @@ def test_open_short_circuit_guard():
 
 def test_reduce_errors():
     with pytest.raises(ValueError, match="k >= 1"):
-        reduce_cfcn(K3, Modulator((), "cluster"), 0)
+        kernelize(K3, Modulator((), "cluster"), 0, VARIANT_CN)
     with pytest.raises(ValueError, match="cluster"):
-        reduce_cfcn(P4, Modulator((), "cluster"), 1)
+        kernelize(P4, Modulator((), "cluster"), 1, VARIANT_CN)
     with pytest.raises(ValueError, match="isolated"):
-        reduce_cfon(Graph(2, []), Modulator((), "cluster"), 1)
+        kernelize(Graph(2, []), Modulator((), "cluster"), 1, VARIANT_ON)
     with pytest.raises(ValueError, match="empty graph"):
-        reduce_cfcn(Graph(0), Modulator((), "cluster"), 1)
+        kernelize(Graph(0), Modulator((), "cluster"), 1, VARIANT_CN)
 
 
 # --- kernel decisions ------------------------------------------------------

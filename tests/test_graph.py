@@ -255,6 +255,7 @@ def test_closed_neighborhood_size(g):
         assert len(g.closed_neighbors(v)) == len(g.neighbors(v)) + 1
         assert v in g.closed_neighbors(v)
         assert v not in g.neighbors(v)
+        assert g.closed_neighbors(v) == tuple(sorted((*g.neighbors(v), v)))
 
 
 @given(graphs(max_n=7))

@@ -5,10 +5,9 @@ import pytest
 from cfcolor import coloring as coloring_module
 from cfcolor import hardness
 from cfcolor.graph import Graph, SizeGuardError
-from cfcolor.coloring import Coloring, VerifyResult, verify_cfon
+from cfcolor.coloring import Coloring, SelfCheckError, VerifyResult, verify_cfon
 from cfcolor.graphclasses import is_split
 from cfcolor.generators import enumerate_small
-from cfcolor.polysolve import SelfCheckError
 from cfcolor.hardness import (
     CrossReport,
     GadgetInstance,
@@ -99,7 +98,7 @@ def test_forward_errors():
 
 def test_forward_rejected_extension_raises(monkeypatch):
     # an explicit check, so it also holds under `python -O`
-    monkeypatch.setattr(hardness, "verify_cfon", lambda coloring: VerifyResult(False, 0, "rejected"))
+    monkeypatch.setattr(coloring_module, "verify_cfon", lambda coloring: VerifyResult(False, 0, "rejected"))
     with pytest.raises(SelfCheckError):
         forward_coloring(encode(K3, 3), Coloring(K3, (0, 1, 2)))
 
@@ -197,7 +196,6 @@ def test_cross_validate_verifies_each_coloring_once(monkeypatch):
         return verify_cfon(coloring)
 
     monkeypatch.setattr(coloring_module, "verify_cfon", counting)
-    monkeypatch.setattr(hardness, "verify_cfon", counting)
     assert cross_validate(C5, 3, limit=None).decoded is not None
     assert len(calls) == 2 and calls[0] is not calls[1]
     calls.clear()

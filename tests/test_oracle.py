@@ -16,12 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfcolor.coloring import Coloring, verify
+from cfcolor.coloring import Coloring, SelfCheckError, verify
 from cfcolor.graph import Graph, SizeGuardError
 from cfcolor import oracle
 from cfcolor.generators import random_graph
 from cfcolor.oracle import decide_cf, exact_cf, find_unique_coloring
-from cfcolor.polysolve import SelfCheckError
 from strategies import graphs
 
 K2 = Graph(2, [(0, 1)])
