@@ -14,17 +14,21 @@ written.  Exit codes are uniform across subcommands:
     5  any other exception (an internal defect); the `error:` line
        names its type and message
 
-`solve` goes through one ordered table of constructive strategies,
-each with the variants it handles, an applicability test and a runner
-that takes the variant.  `--strategy X` runs X's entry and refuses
-(exit 2) when it does not apply.  `--strategy auto` walks the table in
-order and runs the first entry that applies: split CF-CN, bipartite
-CF-CN, cograph, interval when a representation is supplied, then the
-smaller computed modulator (cluster -> lemma1 few-color bound,
-threshold -> additive approximation; ties prefer cluster, so the
-threshold search runs only below the cluster modulator's size); otherwise
-the exact oracle when the instance fits under the guard, otherwise
-refusal.  `fpt` decides rather than constructs and is its own branch.
+`solve` goes through one ordered table of constructive strategies.  An
+entry is (the refusal under --variant on, or None when it handles on;
+an applicability test returning (ok, certificate); the refusal when the
+test says no; a runner taking the graph, the certificate and the
+variant).  `--strategy X` and `--strategy auto` run the same loop over
+it: X's entry alone, or every entry in order.  A check that fails
+refuses an explicit strategy (exit 2) and, under `auto`, moves on to the
+next entry.  The `auto` order is split CF-CN, bipartite CF-CN, cograph,
+interval when a representation is supplied, then the smaller computed
+modulator (cluster -> lemma1 few-color bound, threshold -> additive
+approximation; ties prefer cluster, so the threshold search runs only
+below the cluster modulator's size); otherwise the exact oracle when
+the instance fits under the guard, otherwise refusal.  `fpt` decides
+rather than constructs and is its own branch.  `solve`, `oracle` and
+`kernelize` report an infeasible CF-ON instance the same way, exit 1.
 """
 
 from __future__ import annotations
@@ -103,17 +107,22 @@ def _load_graph(path_str: str, report: RunReport) -> Graph:
     return parse_graph(_read_input(path_str, "input_graph", report))
 
 
-def _load_coloring(path_str: str, g: Graph, report: RunReport) -> Coloring:
-    return parse_coloring(_read_input(path_str, "input_coloring", report), g)
-
-
-def _load_intervals(path_str: str, g: Graph, report: RunReport):
-    return parse_intervals(_read_input(path_str, "input_intervals", report), g.n)
-
-
 def _emit(path: Path, text: str, report: RunReport, key: str) -> None:
     path.write_text(text)
     report.add(key, str(path))
+
+
+def _emit_coloring(args, coloring: Coloring, report: RunReport, key: str) -> int:
+    """Write `<stem>.<variant>.col`; 0, the exit code of a coloring found."""
+    _emit(_stem(args).with_suffix(f".{args.variant}.col"), write_coloring(coloring), report, key)
+    return 0
+
+
+def _infeasible(report: RunReport, key: str = "result") -> int:
+    """Report a CF-ON instance that no coloring satisfies; 1, its exit code."""
+    report.add(key, "infeasible")
+    report.add("reason", INFEASIBLE)
+    return 1
 
 
 def _stem(args) -> Path:
@@ -177,7 +186,7 @@ def _parse_modulator(g: Graph, spec: str, residual: str, budget: int, report: Ru
 
 def _cmd_verify(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
-    coloring = _load_coloring(args.coloring, g, report)
+    coloring = parse_coloring(_read_input(args.coloring, "input_coloring", report), g)
     verdict = verify(coloring, args.variant)
     report.add("verdict", "valid" if verdict else "invalid")
     if verdict:
@@ -191,60 +200,50 @@ def _cmd_verify(args, report: RunReport) -> int:
 def _cmd_oracle(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
     limit = _limit(args.limit)
-    stem = _stem(args)
     if args.k is not None:
         yes, witness = decide_cf(g, args.variant, args.k, limit=limit)
         report.add("decision", "yes" if yes else "no")
         if not yes:
             return 1
         report.add("colors_used", witness.num_colors)
-        _emit(stem.with_suffix(f".{args.variant}.col"), write_coloring(witness), report, "witness_file")
-        return 0
-    result = exact_cf(g, args.variant, limit=limit)
+        return _emit_coloring(args, witness, report, "witness_file")
+    result = exact_cf(g, args.variant, limit=limit)  # checks the guard before feasibility
     if result.infeasible:
-        report.add("chromatic", "infeasible")
-        report.add("reason", INFEASIBLE)
-        return 1
+        return _infeasible(report, "chromatic")
     report.add("chromatic", result.chromatic)
-    _emit(stem.with_suffix(f".{args.variant}.col"), write_coloring(result.witness), report, "witness_file")
-    return 0
+    return _emit_coloring(args, result.witness, report, "witness_file")
 
 
-# The constructive strategies in `auto` ladder order: name -> (variants,
-# refusal, runner(g, certificate, variant)).  A runner names its solver
-# in its body, so the solver is looked up when it runs, not at import.
+# The constructive strategies in `auto` ladder order: name -> (refusal
+# under --variant on or None, applies(g, rep, modulator) -> (ok,
+# certificate), refusal, runner(g, certificate, variant)); `modulator`
+# takes the residual class.  The lambdas name their recognizers and
+# solvers in their bodies, so those are looked up when they run.
 _STRATEGIES = {
-    "split": ((VARIANT_CN,), "the graph is not split", lambda g, cert, v: solve_split_cfcn(g, cert)),
-    "bipartite": ((VARIANT_CN,), "the graph is not bipartite",
+    "split": ("the split strategy handles only --variant cn; the open variant on split graphs"
+              " is as hard as graph coloring (see gadget)",
+              lambda g, rep, mod: is_split(g), "the graph is not split",
+              lambda g, cert, v: solve_split_cfcn(g, cert)),
+    "bipartite": ("the bipartite strategy handles only --variant cn",
+                  lambda g, rep, mod: is_bipartite(g), "the graph is not bipartite",
                   lambda g, cert, v: solve_bipartite_cfcn(g, cert)),
-    "cograph": (VARIANTS, "the graph is not a cograph", lambda g, cert, v: solve_cograph(g, cert, v)),
-    "interval": (VARIANTS, "the interval strategy needs --intervals",
+    "cograph": (None, lambda g, rep, mod: is_cograph(g), "the graph is not a cograph",
+                lambda g, cert, v: solve_cograph(g, cert, v)),
+    "interval": (None, lambda g, rep, mod: (rep is not None, rep),
+                 "the interval strategy needs --intervals",
                  lambda g, cert, v: (cfcn_interval if v == VARIANT_CN else cfon_interval)(g, cert)),
-    "lemma1": (VARIANTS, None,
+    "lemma1": (None, lambda g, rep, mod: mod("cluster"), None,
                lambda g, cert, v: (lemma1_cfcn if v == VARIANT_CN else lemma1_cfon)(g, cert)),
-    "approx": (VARIANTS, None, lambda g, cert, v: (
+    "approx": (None, lambda g, rep, mod: mod("threshold"), None, lambda g, cert, v: (
         approx_cfcn_threshold if v == VARIANT_CN else approx_cfon_threshold)(g, cert)),
 }
 
 
-def _certificate(name: str, g: Graph, rep, args, report: RunReport, smallest):
-    """Whether strategy `name` applies, and what it runs on.  An explicit
-    lemma1 or approx reads --modulator and reports it; under `auto` each
-    applies when `smallest()` is of its residual class."""
-    if name in ("split", "bipartite", "cograph"):
-        return {"split": is_split, "bipartite": is_bipartite, "cograph": is_cograph}[name](g)
-    if name == "interval":
-        return rep is not None, rep
-    residual = "cluster" if name == "lemma1" else "threshold"
-    if args.strategy == "auto":
-        m = smallest()
-        return m is not None and m.residual_class == residual, m
-    return True, _parse_modulator(g, args.modulator, residual, args.budget, report)
-
-
 def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOutcome]:
-    """Run the --strategy entry, raising its refusal, or walk the table
-    under `auto`, skipping what does not apply; the oracle comes last."""
+    """Walk the table, over the --strategy entry alone or, under `auto`,
+    over every entry: an entry that does not apply raises its refusal
+    when named and is skipped under `auto`.  The oracle comes last."""
+    auto = args.strategy == "auto"
 
     @functools.cache
     def smallest():  # the smaller modulator, ties prefer cluster; searched once
@@ -256,38 +255,37 @@ def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOut
             g, args.budget if cluster is None else len(cluster.vertices) - 1)
         return threshold if threshold is not None else cluster
 
-    if args.strategy in _STRATEGIES:
-        variants, refusal, runner = _STRATEGIES[args.strategy]
-        if args.variant not in variants:
-            raise ValueError(f"the {args.strategy} strategy handles only --variant cn" + (
-                "; the open variant on split graphs is as hard as graph coloring (see gadget)"
-                if args.strategy == "split" else ""))
-        ok, cert = _certificate(args.strategy, g, rep, args, report, smallest)
-        if not ok:
-            raise ValueError(refusal)
-        return args.strategy, runner(g, cert, args.variant)
-    if args.strategy == "auto":
-        for name, (variants, _, runner) in _STRATEGIES.items():
-            if args.variant in variants:
-                ok, cert = _certificate(name, g, rep, args, report, smallest)
-                if ok:
-                    return name, runner(g, cert, args.variant)
-        if limit is not None and g.n > limit:
-            raise SizeGuardError(
-                f"no polynomial strategy applies and {g.n} vertices exceed the oracle guard ({limit})"
-            )
+    def modulator(residual: str):
+        """Under `auto`, whether `smallest()` is of the residual class;
+        a named lemma1 or approx reads --modulator and reports it."""
+        if auto:
+            m = smallest()
+            return m is not None and m.residual_class == residual, m
+        return True, _parse_modulator(g, args.modulator, residual, args.budget, report)
+
+    for name in _STRATEGIES if auto else [n for n in _STRATEGIES if n == args.strategy]:
+        on_refusal, applies, refusal, runner = _STRATEGIES[name]
+        wrong_variant = on_refusal is not None and args.variant != VARIANT_CN
+        ok, cert = (False, None) if wrong_variant else applies(g, rep, modulator)
+        if ok:
+            return name, runner(g, cert, args.variant)
+        if not auto:
+            raise ValueError(on_refusal if wrong_variant else refusal)
+    if auto and limit is not None and g.n > limit:
+        raise SizeGuardError(
+            f"no polynomial strategy applies and {g.n} vertices exceed the oracle guard ({limit})"
+        )
     result = exact_cf(g, args.variant, limit=limit)
     return "oracle", SolveOutcome(result.witness, result.chromatic, EXACT, "exhaustive search")
 
 
 def _cmd_solve(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
-    rep = _load_intervals(args.intervals, g, report) if args.intervals else None
+    rep = (parse_intervals(_read_input(args.intervals, "input_intervals", report), g.n)
+           if args.intervals else None)
     limit = _limit(args.limit)
     if not feasible(g, args.variant):
-        report.add("result", "infeasible")
-        report.add("reason", INFEASIBLE)
-        return 1
+        return _infeasible(report)
 
     if args.strategy == "fpt":
         if args.k is None:
@@ -301,13 +299,7 @@ def _cmd_solve(args, report: RunReport) -> int:
         if not decision.yes:
             return 1
         report.add("colors_used", decision.witness.num_colors)
-        _emit(
-            _stem(args).with_suffix(f".{args.variant}.col"),
-            write_coloring(decision.witness),
-            report,
-            "coloring_file",
-        )
-        return 0
+        return _emit_coloring(args, decision.witness, report, "coloring_file")
 
     strategy, outcome = _solve(g, args, rep, limit, report)
     # free for a coloring its solver already checked (the verdict is kept
@@ -318,13 +310,7 @@ def _cmd_solve(args, report: RunReport) -> int:
     report.add("optimality", outcome.optimality)
     if outcome.note:
         report.add("note", outcome.note)
-    _emit(
-        _stem(args).with_suffix(f".{args.variant}.col"),
-        write_coloring(outcome.coloring),
-        report,
-        "coloring_file",
-    )
-    return 0
+    return _emit_coloring(args, outcome.coloring, report, "coloring_file")
 
 
 def _cmd_recognize(args, report: RunReport) -> int:
@@ -369,6 +355,8 @@ def _cmd_modulator(args, report: RunReport) -> int:
 
 def _cmd_kernelize(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
+    if not feasible(g, args.variant):
+        return _infeasible(report)
     m = _parse_modulator(g, args.modulator, "cluster", args.budget, report)
     inst = kernelize(g, m, args.k, args.variant)
     stem = _stem(args)
@@ -378,12 +366,7 @@ def _cmd_kernelize(args, report: RunReport) -> int:
     if inst.short_circuit is not None:
         report.add("short_circuit", "yes")
         report.add("colors_used", inst.short_circuit.colors_used)
-        _emit(
-            stem.with_suffix(f".{args.variant}.col"),
-            write_coloring(inst.short_circuit.coloring),
-            report,
-            "witness_file",
-        )
+        _emit_coloring(args, inst.short_circuit.coloring, report, "witness_file")
     else:
         report.add("short_circuit", "no")
     _emit(stem.with_suffix(".kernel.cf"), write_graph(inst.graph), report, "kernel_file")

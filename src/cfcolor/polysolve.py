@@ -45,6 +45,13 @@ def _universal_shortcut(g: Graph) -> SolveOutcome | None:
     return checked_outcome(coloring, VARIANT_CN, EXACT)
 
 
+def _side_coloring(g: Graph, zero_side, note: str = "") -> SolveOutcome:
+    """`zero_side` 0 and every other vertex 1, an exact closed-neighbourhood
+    coloring wherever the caller has shown that it verifies."""
+    coloring = Coloring(g, tuple(0 if v in zero_side else 1 for v in range(g.n)))
+    return checked_outcome(coloring, VARIANT_CN, EXACT, note)
+
+
 def solve_bipartite_cfcn(g: Graph, bipartition: tuple[tuple[int, ...], tuple[int, ...]]) -> SolveOutcome:
     """Color side A with 0 and side B with 1; exact for any bipartite
     graph with an edge (a 1-coloring dies on any edge's closed
@@ -58,8 +65,7 @@ def solve_bipartite_cfcn(g: Graph, bipartition: tuple[tuple[int, ...], tuple[int
             raise ValueError(f"edge {u}-{v} lies inside one side of the bipartition")
     if g.m == 0:
         raise ValueError("bipartite coloring needs at least one edge")
-    coloring = Coloring(g, tuple(0 if v in a else 1 for v in range(g.n)))
-    return checked_outcome(coloring, VARIANT_CN, EXACT)
+    return _side_coloring(g, a)
 
 
 def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
@@ -122,17 +128,12 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     elif zeros and (len(c) == 2 or zeros == len(c)):
         zero_side = set(c) - {c[ci.index(0)]}
     if zero_side is not None:
-        coloring = Coloring(g, tuple(0 if v in zero_side else 1 for v in range(g.n)))
-        return checked_outcome(coloring, VARIANT_CN, EXACT)
+        return _side_coloring(g, zero_side)
 
     bip, sides = is_bipartite(g)
     if bip:
         assert sides is not None
-        a = set(sides[0])
-        coloring = Coloring(g, tuple(0 if v in a else 1 for v in range(g.n)))
-        return checked_outcome(
-            coloring, VARIANT_CN, EXACT, note="triangle-free split graph: side coloring"
-        )
+        return _side_coloring(g, set(sides[0]), "triangle-free split graph: side coloring")
 
     v0 = min(canonical.clique)
     colors = [2] * g.n

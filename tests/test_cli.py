@@ -14,9 +14,9 @@ import cfcolor
 from cfcolor.cli import build_parser, dispatch
 from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify
 from cfcolor.fpt import kernelize, provenance
-from cfcolor.generators import random_split, random_threshold
+from cfcolor.generators import enumerate_small, random_split, random_threshold
 from cfcolor.graph import Graph, parse_graph, write_graph
-from cfcolor.graphclasses import Modulator, is_cograph
+from cfcolor.graphclasses import Modulator, is_bipartite, is_cograph, is_split
 from cfcolor.polysolve import SolveOutcome
 
 from strategies import modulator_pin_graphs, stack_depth
@@ -403,6 +403,20 @@ def test_kernelize_short_circuit(tmp_path, capsys):
     assert verify(coloring, "cn")
 
 
+@pytest.mark.parametrize("text", ["p cf 3 1\ne 0 1\n", TWO_ISOLATED])
+def test_kernelize_on_infeasible(tmp_path, capsys, text):
+    # the report solve and oracle give: exit 1 before any modulator search,
+    # and no kernel, provenance or coloring written
+    g = put(tmp_path, "g.cf", text)
+    code, pairs, _ = run(capsys, "kernelize", "--variant", "on", "--k", "2", g)
+    assert code == 1 and pairs["result"] == "infeasible"
+    assert pairs["reason"] == "an isolated vertex leaves an open neighborhood empty"
+    assert "modulator" not in pairs and "error" not in pairs
+    assert [p.name for p in tmp_path.iterdir()] == ["g.cf"]
+    code, pairs, _ = run(capsys, "kernelize", "--variant", "cn", "--k", "2", g)
+    assert code == 0 and pairs["short_circuit"] == "yes"
+
+
 def test_gadget_encode_and_validate(tmp_path, capsys):
     g = put(tmp_path, "k3.cf", K3)
     code, pairs, _ = run(capsys, "gadget", "encode", "--k", "3", g)
@@ -604,6 +618,140 @@ def test_every_strategy_is_looked_up_in_cli(tmp_path, capsys, monkeypatch, solve
         argv += ["--intervals", put(tmp_path, "g.ivl", P4_INTERVALS)]
     code, pairs, _ = run(capsys, *argv)
     assert code == 4 and "re-verification" in pairs["error"]
+
+
+_SPLIT_ON = ("the split strategy handles only --variant cn; the open variant on split graphs"
+             " is as hard as graph coloring (see gadget)")
+# (strategy, variant) -> (the graphs refused at --budget 0, their error line);
+# computed before the strategy table carried its applicability tests
+_REFUSALS = {
+    ("split", "cn"): ("C4 C5", "the graph is not split"),
+    ("split", "on"): ("P4 C4 K3 C5", _SPLIT_ON),
+    ("bipartite", "cn"): ("K3 C5", "the graph is not bipartite"),
+    ("bipartite", "on"): ("P4 C4 K3 C5", "the bipartite strategy handles only --variant cn"),
+    ("cograph", "cn"): ("P4 C5", "the graph is not a cograph"),
+    ("cograph", "on"): ("P4 C5", "the graph is not a cograph"),
+    ("interval", "cn"): ("P4 C4 K3 C5", "the interval strategy needs --intervals"),
+    ("interval", "on"): ("P4 C4 K3 C5", "the interval strategy needs --intervals"),
+    ("lemma1", "cn"): ("P4 C4 C5", "no cluster modulator of size <= 0"),
+    ("lemma1", "on"): ("P4 C4 C5", "no cluster modulator of size <= 0"),
+    ("approx", "cn"): ("P4 C4 C5", "no threshold modulator of size <= 0"),
+    ("approx", "on"): ("P4 C4 C5", "no threshold modulator of size <= 0"),
+    ("fpt", "cn"): ("P4 C4 K3 C5", "the fpt strategy needs --k"),
+    ("fpt", "on"): ("P4 C4 K3 C5", "the fpt strategy needs --k"),
+    ("oracle", "cn"): ("", None),
+    ("oracle", "on"): ("", None),
+}
+
+
+def test_solve_refusals_pinned(tmp_path, capsys):
+    # every explicit strategy, both variants: a refusal exits 2 with its
+    # exact error line, anything else solves
+    graphs = {"P4": P4, "C4": C4, "K3": K3, "C5": C5}
+    for (strategy, variant), (refused, error) in _REFUSALS.items():
+        for name, text in graphs.items():
+            code, pairs, _ = run(capsys, "solve", "--variant", variant, "--strategy", strategy,
+                                 "--budget", "0", put(tmp_path, "g.cf", text))
+            want = (2, error) if name in refused.split() else (0, None)
+            assert (code, pairs.get("error")) == want, (strategy, variant, name)
+
+
+def test_auto_matches_first_applicable_class_strategy(tmp_path, capsys):
+    # auto and the explicit strategy are one walk of the table: where an
+    # exact class rung applies, auto's report is that strategy's report
+    def report(*argv):
+        code, _, out = run(capsys, "solve", *argv)
+        return code, [l for l in out.splitlines() if not l.startswith(("command:", "time_ms:"))]
+
+    two_triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    codes = []
+    for g in [g for n in range(1, 6) for g in enumerate_small(n)] + [two_triangles]:
+        path = put(tmp_path, "g.cf", write_graph(g))
+        for variant in ("cn", "on"):
+            tests = [("cograph", is_cograph)]
+            if variant == "cn":
+                tests = [("split", is_split), ("bipartite", is_bipartite)] + tests
+            first = next((name for name, test in tests if test(g)[0]), None)
+            if first is None:
+                continue
+            code, lines = report("--variant", variant, path)
+            assert (code, lines) == report("--variant", variant, "--strategy", first, path), (
+                write_graph(g), variant)
+            codes.append(code)
+    # 2K3, a disconnected cograph, is refused by both in both variants
+    assert codes[-2:] == [2, 2] and len(codes) > 40
+
+
+@pytest.mark.parametrize(
+    "strategy,graph,refusal",
+    [
+        ("split", "P4", "the graph is not split"),
+        ("bipartite", "C4", "the graph is not bipartite"),
+        ("cograph", "C4", "the graph is not a cograph"),
+    ],
+)
+def test_applicability_tests_are_looked_up_in_cli(tmp_path, capsys, monkeypatch, strategy,
+                                                  graph, refusal):
+    # the table's applicability tests find the recognizers in the cli
+    # module when they run: a recognizer replaced there refuses
+    import cfcolor.cli as cli
+
+    for name in ("is_split", "is_bipartite", "is_cograph"):
+        monkeypatch.setattr(cli, name, lambda g: (False, None))
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", strategy,
+                         put(tmp_path, "g.cf", GRAPHS[graph]))
+    assert code == 2 and pairs["error"] == refusal
+
+
+# subcommand -> (dest, option_strings, choices, default, required) per
+# action, as the parser had them before the strategy table carried its
+# applicability tests
+_OPTIONS = {
+    "cfcolor": [("version", ("--version",), None, "==SUPPRESS==", False),
+                ("command", (), ("verify", "oracle", "solve", "recognize", "modulator",
+                                 "kernelize", "gadget", "gen"), None, True)],
+    "verify": [("variant", ("--variant",), ("cn", "on"), None, True),
+               ("graph", (), None, None, True), ("coloring", (), None, None, True)],
+    "oracle": [("variant", ("--variant",), ("cn", "on"), None, True),
+               ("limit", ("--limit",), None, 16, False), ("out", ("--out",), None, None, False),
+               ("k", ("--k",), None, None, False), ("graph", (), None, None, True)],
+    "solve": [("variant", ("--variant",), ("cn", "on"), None, True),
+              ("limit", ("--limit",), None, 16, False), ("out", ("--out",), None, None, False),
+              ("strategy", ("--strategy",), ("auto", "split", "bipartite", "cograph", "interval",
+                                             "lemma1", "approx", "fpt", "oracle"), "auto", False),
+              ("intervals", ("--intervals",), None, None, False),
+              ("k", ("--k",), None, None, False),
+              ("modulator", ("--modulator",), None, "auto", False),
+              ("budget", ("--budget",), None, 6, False), ("graph", (), None, None, True)],
+    "recognize": [("graph", (), None, None, True)],
+    "modulator": [("klass", ("--class",), ("cluster", "threshold"), None, True),
+                  ("budget", ("--budget",), None, None, True), ("graph", (), None, None, True)],
+    "kernelize": [("variant", ("--variant",), ("cn", "on"), None, True),
+                  ("out", ("--out",), None, None, False), ("k", ("--k",), None, None, True),
+                  ("modulator", ("--modulator",), None, "auto", False),
+                  ("budget", ("--budget",), None, 6, False), ("graph", (), None, None, True)],
+    "gadget": [("mode", (), ("encode", "validate"), None, True),
+               ("k", ("--k",), None, None, True), ("limit", ("--limit",), None, 16, False),
+               ("out", ("--out",), None, None, False), ("graph", (), None, None, True)],
+    "gen": [("klass", ("--class",), ("cluster", "threshold", "split", "interval",
+                                     "cluster-modulator", "threshold-modulator"), None, True),
+            ("n", ("--n",), None, None, True), ("seed", ("--seed",), None, None, True),
+            ("d", ("--d",), None, None, False), ("cliques", ("--cliques",), None, None, False),
+            ("out", ("--out",), None, None, False)],
+}
+
+
+def test_cli_options_pinned():
+    # every option of every subcommand, read from the parser rather than
+    # from --help, whose layout follows the terminal width
+    def options(parser):
+        return [(a.dest, tuple(a.option_strings), None if a.choices is None else tuple(a.choices),
+                 a.default, a.required) for a in parser._actions if a.dest != "help"]
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    got = {"cfcolor": options(parser), **{name: options(p) for name, p in subparsers.items()}}
+    assert got == _OPTIONS
 
 
 def test_console_script_installed(tmp_path):
