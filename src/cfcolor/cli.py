@@ -118,9 +118,9 @@ def _emit_coloring(args, coloring: Coloring, report: RunReport, key: str) -> int
     return 0
 
 
-def _infeasible(report: RunReport, key: str = "result") -> int:
+def _infeasible(report: RunReport, key: str = "result", value: str = "infeasible") -> int:
     """Report a CF-ON instance that no coloring satisfies; 1, its exit code."""
-    report.add(key, "infeasible")
+    report.add(key, value)
     report.add("reason", INFEASIBLE)
     return 1
 
@@ -200,6 +200,11 @@ def _cmd_verify(args, report: RunReport) -> int:
 def _cmd_oracle(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
     limit = _limit(args.limit)
+    # before the library, whose size guard would refuse what is infeasible at any size
+    if not feasible(g, args.variant):
+        if args.k is None:
+            return _infeasible(report, "chromatic")
+        return _infeasible(report, "decision", "no")
     if args.k is not None:
         yes, witness = decide_cf(g, args.variant, args.k, limit=limit)
         report.add("decision", "yes" if yes else "no")
@@ -207,9 +212,7 @@ def _cmd_oracle(args, report: RunReport) -> int:
             return 1
         report.add("colors_used", witness.num_colors)
         return _emit_coloring(args, witness, report, "witness_file")
-    result = exact_cf(g, args.variant, limit=limit)  # checks the guard before feasibility
-    if result.infeasible:
-        return _infeasible(report, "chromatic")
+    result = exact_cf(g, args.variant, limit=limit)
     report.add("chromatic", result.chromatic)
     return _emit_coloring(args, result.witness, report, "witness_file")
 

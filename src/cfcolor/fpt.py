@@ -14,7 +14,9 @@ recorded with enough provenance to lift a kernel coloring back: deleted
 cliques copy the coloring of a same-mega-type survivor that provides no
 modulator vertex's unique color, and deleted twins take a color already
 duplicated (closed) or tripled (open) among their kept siblings, which
-by the cap's pigeonhole always exists.
+by the cap's pigeonhole always exists.  When neither rule deletes a
+vertex, the kernel is the graph itself: its witness needs no lift, and
+the oracle's check of it is the only one.
 
 Approximation (threshold modulator X).  Only the modulator's own
 neighborhood constraints plus those of singleton residual components are
@@ -228,7 +230,10 @@ def _fill_twins(colors: list[int] | dict[int, int], kept: list[int], dropped: li
 
 
 def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring:
-    """Extend a kernel coloring to the full graph, deleted cliques first."""
+    """Extend a kernel coloring to the full graph, deleted cliques first;
+    a kernel that is g itself needs no extension."""
+    if inst.graph is g:
+        return kernel_coloring
     mask = _type_masks(g, tuple(inst.kept[i] for i in inst.x))
     colors: dict[int, int] = {
         orig: kernel_coloring.colors[i] for i, orig in enumerate(inst.kept)

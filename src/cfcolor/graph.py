@@ -254,6 +254,17 @@ def components_avoiding(g: Graph, removed: set[int]) -> Iterator[list[int]]:
         yield comp
 
 
+def degrees_avoiding(g: Graph, removed: set[int]) -> list[int]:
+    """Each vertex's number of neighbours outside `removed`, counted from
+    the removed side: one walk over their neighbour tuples, so the cost
+    is n plus the degrees of `removed`, not of the whole graph."""
+    deg = list(map(len, g._adj))
+    for x in removed:
+        for u in g.neighbors(x):
+            deg[u] -= 1
+    return deg
+
+
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, each sorted, ordered by smallest member."""
     return [tuple(sorted(comp)) for comp in components_avoiding(g, set())]
@@ -264,12 +275,15 @@ def is_connected(g: Graph) -> bool:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph plus the old-id -> new-id relabeling (order preserving)."""
+    """Induced subgraph plus the old-id -> new-id relabeling (order
+    preserving); on every vertex, g itself, as a Graph never changes."""
     vs = sorted(set(vertices))
     for v in vs:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} not in graph")
     relabel = {v: i for i, v in enumerate(vs)}
+    if len(vs) == g.n:  # every vertex: the graph itself, relabeled to itself
+        return g, relabel
     # the relabeling preserves order, so each neighbour tuple stays sorted
     adj = tuple(tuple(map(relabel.__getitem__, filter(relabel.__contains__, g.neighbors(v))))
                 for v in vs)

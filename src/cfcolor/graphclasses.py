@@ -35,11 +35,15 @@ rescans its module's edges, so deep cotrees cost up to O(n (n + m)).
 Cluster and threshold graphs are each decided by one check of G minus
 a removed vertex set, which returns the certificate or else a forbidden
 induced subgraph: a P3 for cluster, a 2K2, P4 or C4 for threshold.  The
-recognizers run it with nothing removed.  The modulator search (Cai
-1996) first packs vertex-disjoint obstructions greedily, each found by
-the check with the earlier ones removed; every modulator hits each of
-them, so their count is a lower bound, and packing stops with no
-answer once the count passes the budget.  Otherwise it branches on the check's obstruction, 3
+recognizers run it with nothing removed.  A check counts each vertex's
+neighbours in the removed set from the removed side, one walk over
+their adjacency, so the removed set costs its own degrees, not m.
+
+The modulator search (Cai 1996) first packs vertex-disjoint
+obstructions greedily, each found by the check with the earlier ones
+removed; every modulator hits each of them, so their count is a lower
+bound, and packing stops with no answer once the count passes the
+budget.  Otherwise it branches on the check's obstruction, 3
 or 4 ways, deepening one size at a time from the bound up to the
 budget, and stops at the first size with a hitting set, returning the
 lexicographically smallest sorted one.  One search runs the check once
@@ -48,10 +52,13 @@ branch orders and the later sizes.
 
 `residual_components` is the one split of G-X, which the lemma1
 constructions, the kernel and the threshold approximation take: the
-same check, on G-X as a vertex set; a cluster residual's cliques are
-its components, and a threshold residual's come from one breadth-first
-search that skips X.  Both take O(n + m) time, apart from the threshold
-check's sort by degree, and build no subgraph.
+same check, on G-X as a vertex set, after X is checked to lie in
+0..n-1.  A cluster residual's cliques are its components.  A threshold
+residual's come from the elimination certificate: the vertices stripped
+as isolated before the first universal one are singletons, and all
+later ones share the first universal vertex's component.  Both take
+O(n + m) time, apart from the threshold check's sort by degree, and
+build no subgraph.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, components_avoiding
+from .graph import Graph, components_avoiding, degrees_avoiding
 
 
 @dataclass(frozen=True)
@@ -318,13 +325,13 @@ def _cluster_check(
     neighbour w outside N[v], so u has the two non-adjacent neighbours
     v and w.  One walk over the components, O(n + m).
     """
+    deg = degrees_avoiding(g, removed)
     comps = []
     for comp in components_avoiding(g, removed):
         others = len(comp) - 1
         for v in comp:
-            nb = g.neighbors(v)
-            if len(nb) - len(removed.intersection(nb)) < others:
-                for u in nb:
+            if deg[v] < others:
+                for u in g.neighbors(v):
                     if u not in removed:
                         for w in g.neighbors(u):
                             if w != v and w not in removed and not g.has_edge(v, w):
@@ -353,7 +360,7 @@ def _threshold_check(
     some b in N(v) - N[u] and a in N(u) - N[v] exist, and {u, a, v, b}
     induces a 2K2, P4 or C4 by whether uv and ab are edges.
     """
-    deg = [g.degree(v) - len(removed.intersection(g.neighbors(v))) for v in range(g.n)]
+    deg = degrees_avoiding(g, removed)
     order = sorted((v for v in range(g.n) if v not in removed), key=deg.__getitem__)
     certificate: list[tuple[int, str]] = []
     lo, hi, stripped = 0, len(order) - 1, 0  # stripped universal vertices
@@ -469,17 +476,27 @@ def threshold_modulator(g: Graph, budget: int) -> Modulator | None:
 def residual_components(g: Graph, modulator: Modulator) -> list[tuple[int, ...]] | None:
     """Components of G-X in original ids, each sorted and ordered by
     smallest member, when G-X is of the modulator's residual class;
-    None when it is not."""
+    None when it is not.  A vertex of X outside 0..n-1 is a ValueError."""
     check = _CLASS_CHECKS.get(modulator.residual_class)
     if check is None:
         raise ValueError(f"unknown residual class {modulator.residual_class!r}")
-    xs = set(modulator.vertices)
-    certificate, _ = check(g, xs)
+    for v in modulator.vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"modulator vertex {v} not in graph")
+    certificate, _ = check(g, set(modulator.vertices))
     if certificate is None:
         return None
     if modulator.residual_class == "cluster":  # the cliques are the components
         return list(certificate)
-    return [tuple(sorted(comp)) for comp in components_avoiding(g, xs)]
+    # a vertex stripped as isolated before any universal one is alone in
+    # G-X; every later vertex was adjacent to the first universal one
+    first = next((i for i, (_, kind) in enumerate(certificate) if kind == "universal"),
+                 len(certificate))
+    comps = [(v,) for v, _ in certificate[:first]]
+    if first < len(certificate):
+        comps.append(tuple(sorted(v for v, _ in certificate[first:])))
+    comps.sort()
+    return comps
 
 
 def validate_modulator(g: Graph, modulator: Modulator) -> bool:

@@ -157,6 +157,23 @@ def test_oracle_infeasible(tmp_path, capsys):
     assert code == 1 and pairs["chromatic"] == "infeasible"
 
 
+@pytest.mark.parametrize("text, k, key, value", [
+    ("p cf 20 0\n", None, "chromatic", "infeasible"),  # above the guard: still infeasible
+    ("p cf 20 0\n", "2", "decision", "no"),
+    (TWO_ISOLATED, "2", "decision", "no"),
+])
+def test_oracle_infeasible_reported_before_the_guard(tmp_path, capsys, text, k, key, value):
+    # the report solve gives: exit 1 with the one reason line, no witness
+    g = put(tmp_path, "iso.cf", text)
+    code, pairs, _ = run(capsys, "oracle", "--variant", "on", *(("--k", k) if k else ()), g)
+    assert code == 1 and pairs[key] == value
+    assert pairs["reason"] == "an isolated vertex leaves an open neighborhood empty"
+    assert "error" not in pairs
+    assert [p.name for p in tmp_path.iterdir()] == ["iso.cf"]
+    code, pairs, _ = run(capsys, "solve", "--variant", "on", "--strategy", "oracle", g)
+    assert code == 1 and pairs["result"] == "infeasible"
+
+
 def test_oracle_guard(tmp_path, capsys):
     edges = "".join(f"e {i} {i + 1}\n" for i in range(16))
     g = put(tmp_path, "p17.cf", f"p cf 17 16\n{edges}")
@@ -371,6 +388,30 @@ def test_dispatch_in_process_matches_fresh_processes(tmp_path, capsys):
         fresh.append((proc.returncode, report(proc.stdout)))
     assert in_process == fresh
     assert [code for code, _ in fresh] == [0, 0, 0, 2]
+
+
+def test_python_dash_m_matches_dispatch(tmp_path, capsys):
+    # `python -m cfcolor` from a checkout, without an install, runs main()
+    g = put(tmp_path, "c5.cf", C5)
+    iso = put(tmp_path, "iso.cf", TWO_ISOLATED)
+    calls = [["--version"], ["recognize", g], ["oracle", "--variant", "on", iso],
+             ["solve", "--variant", "cn", "--strategy", "split", g]]
+
+    def report(out):
+        return [line for line in out.splitlines() if not line.startswith("time_ms:")]
+
+    in_process = []
+    for argv in calls:
+        code = dispatch(argv)
+        in_process.append((code, report(capsys.readouterr().out)))
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "cfcolor", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        fresh.append((proc.returncode, report(proc.stdout)))
+    assert fresh == in_process
+    assert [code for code, _ in fresh] == [0, 0, 1, 2]
 
 
 def test_modulator_found_and_missing(tmp_path, capsys):

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from cfcolor import graph
+from cfcolor import coloring as coloring_module, fpt, graph
 from cfcolor.graph import Graph
 from cfcolor.coloring import VARIANT_CN, VARIANT_ON, SelfCheckError, verify
 from cfcolor.graphclasses import (
@@ -27,6 +27,7 @@ from cfcolor.fpt import (
     rule1_cap,
     solve_via_kernel,
 )
+from cfcolor.polysolve import lemma1_cfcn, lemma1_cfon
 from cfcolor.generators import (
     enumerate_small,
     random_cluster_modulator_instance,
@@ -286,6 +287,52 @@ def test_type_masks_match_per_vertex_mask():
             x = tuple(sorted(m.vertices))
             x_index = {xv: i for i, xv in enumerate(x)}
             assert _type_masks(g, x) == [_per_vertex_mask(g, x_index, v) for v in range(g.n)]
+
+
+def test_kernel_of_the_whole_graph_is_verified_once(monkeypatch):
+    # when neither rule deletes a vertex the kernel is g itself, and a YES
+    # witness is verified once, by the oracle; a kernel that lost vertices
+    # is still lifted, and the lifted coloring verified again on g
+    calls = []
+    body = coloring_module._verify
+    monkeypatch.setattr(coloring_module, "_verify",
+                        lambda c, variant: calls.append(c) or body(c, variant))
+    seen = {True: 0, False: 0}
+    for s in range(40):
+        g, m = random_cluster_modulator_instance(8 + s % 9, 1 + s % 3, s)
+        d = len(m.vertices)
+        for variant, top in ((VARIANT_CN, d + 2), (VARIANT_ON, 2 * d + 2)):
+            if variant == VARIANT_ON and not all(map(g.degree, range(g.n))):
+                continue
+            for k in range(1, top + 1):
+                inst = kernelize(g, m, k, variant)
+                if inst.short_circuit is not None:
+                    continue
+                whole = not inst.deleted_vertices and not inst.deleted_cliques
+                assert (inst.graph is g) == whole
+                calls.clear()
+                dec = solve_via_kernel(g, m, k, variant, limit=None)
+                if not dec.yes:
+                    continue
+                seen[whole] += 1
+                assert len(calls) == (1 if whole else 2)
+                assert dec.witness.graph is g and verify(dec.witness, variant)
+                assert dec.witness.num_colors <= k
+    assert seen[True] >= 100 and seen[False] >= 10
+
+
+@pytest.mark.parametrize("bad", [-1, 17])
+def test_out_of_range_modulator_refused_on_every_path(bad):
+    g, m = random_cluster_modulator_instance(17, 2, 3)
+    cluster = Modulator((*m.vertices, bad), "cluster")
+    threshold = Modulator((*m.vertices, bad), "threshold")
+    for call in (lambda: lemma1_cfcn(g, cluster), lambda: lemma1_cfon(g, cluster),
+                 lambda: kernelize(g, cluster, 2, VARIANT_CN),
+                 lambda: solve_via_kernel(g, cluster, 2, VARIANT_ON),
+                 lambda: approx_cfcn_threshold(g, threshold),
+                 lambda: approx_cfon_threshold(g, threshold)):
+        with pytest.raises(ValueError, match=f"modulator vertex {bad} not in graph"):
+            call()
 
 
 def test_residual_split_builds_no_graph(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +17,13 @@ from cfcolor.graph import (
     GraphFormatError,
     complement,
     connected_components,
+    degrees_avoiding,
     induced_subgraph,
     is_connected,
     parse_graph,
     write_graph,
 )
+from cfcolor.generators import random_graph
 from strategies import graph_texts, graphs, labeled_graphs
 
 K2_TEXT = "p cf 2 1\ne 0 1\n"
@@ -86,6 +89,28 @@ def test_induced_subgraph_relabels_in_order():
     assert sub.edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         induced_subgraph(g, [7])
+
+
+def test_induced_subgraph_on_every_vertex_is_the_graph():
+    g = Graph(5, [(0, 1), (1, 3), (3, 4), (0, 4)])
+    sub, relabel = induced_subgraph(g, [4, 3, 2, 1, 0, 3])
+    assert sub is g and relabel == {v: v for v in range(5)}
+    assert induced_subgraph(g, [0, 1, 2, 3])[0] is not g
+    assert induced_subgraph(Graph(0), [])[0].n == 0
+    with pytest.raises(ValueError, match="vertex 5 not in graph"):
+        induced_subgraph(g, [1, 2, 3, 4, 5])
+
+
+def test_degrees_avoiding_matches_per_vertex_count():
+    # the count from the removed side equals each vertex's degree less
+    # its removed neighbours, removed vertices included
+    rng = random.Random(5)
+    for s in range(60):
+        g = random_graph(1 + s % 40, (s % 9 + 1) / 10, s)
+        for _ in range(4):
+            removed = {v for v in range(g.n) if rng.random() < rng.random()}
+            assert degrees_avoiding(g, removed) == [
+                g.degree(v) - len(removed & set(g.neighbors(v))) for v in range(g.n)]
 
 
 def _same_graph(got, want):

@@ -2,13 +2,14 @@
 
 import hashlib
 import itertools
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfcolor.graphclasses as graphclasses_module
-from cfcolor.graph import Graph, induced_subgraph
+from cfcolor.graph import Graph, components_avoiding, induced_subgraph
 from cfcolor.graphclasses import (
     Modulator,
     _cluster_check,
@@ -503,6 +504,39 @@ def test_residual_components_pinned():
                 for residual_class in ("cluster", "threshold"):
                     h.update(repr(residual_components(g, Modulator(xs, residual_class))).encode())
     assert h.hexdigest() == "20063883280b37e8918d31d0c24da6b62849885c5dd29034656a5e7e9fc1a8c5"
+
+
+def test_threshold_residual_components_match_search():
+    # the components read off the elimination order equal a breadth-first
+    # search over G-X: planted threshold modulators up to n = 120 with the
+    # planted X, X less one vertex and the empty X, and disconnected
+    # threshold graphs less a random set, whose residuals keep singletons
+    rng = random.Random(7)
+    cases = []
+    for s in range(60):
+        g, planted = random_threshold_modulator_instance(10 + s * 11 % 111, 1 + s % 3, s)
+        cases += [(g, xs) for xs in (planted.vertices, planted.vertices[1:], ())]
+        g = random_threshold(1 + s * 2, s, connected=False)[0]
+        cases.append((g, tuple(v for v in range(g.n) if rng.random() < 0.3)))
+    found = 0
+    for g, xs in cases:
+        comps = residual_components(g, Modulator(xs, "threshold"))
+        if comps is None:
+            rest = [v for v in range(g.n) if v not in xs]
+            assert not is_threshold(induced_subgraph(g, rest)[0])[0]
+            continue
+        found += 1
+        assert comps == sorted(tuple(sorted(c)) for c in components_avoiding(g, set(xs)))
+    assert found >= 120  # every planted X and every disconnected case
+
+
+@pytest.mark.parametrize("residual_class", ["cluster", "threshold"])
+@pytest.mark.parametrize("bad", [-1, 4, 9])
+def test_modulator_vertex_out_of_range_refused(residual_class, bad):
+    m = Modulator((1, bad), residual_class)
+    for call in (residual_components, validate_modulator):
+        with pytest.raises(ValueError, match=f"modulator vertex {bad} not in graph"):
+            call(P4, m)
 
 
 def test_obstruction_finders_match_brute_force():
