@@ -29,6 +29,16 @@ below the cluster modulator's size); otherwise the exact oracle when
 the instance fits under the guard, otherwise refusal.  `fpt` decides
 rather than constructs and is its own branch.  `solve`, `oracle` and
 `kernelize` report an infeasible CF-ON instance the same way, exit 1.
+
+`recognize` and `gen` call the library's recognizers and generators
+directly, each through one table walked once.  `_RECOGNIZERS` maps each
+class, in report order, to its recognizer and the report lines of the
+certificate it returns; a certificate is reported whenever one is
+returned, so a non-cograph shows its prime tree.  `_GENERATORS` maps
+each `--class` to its generator call and its certificate's lines for
+`<stem>.cert`; interval's certificate, its representation, goes to
+`<stem>.ivl` instead.  The `--class` choices are the table's keys, as
+the `--strategy` choices are `_STRATEGIES`'.
 """
 
 from __future__ import annotations
@@ -52,9 +62,10 @@ from .graphclasses import (
     Modulator,
     cluster_modulator,
     is_bipartite,
+    is_cluster,
     is_cograph,
     is_split,
-    recognize,
+    is_threshold,
     threshold_modulator,
 )
 from .polysolve import (
@@ -74,7 +85,15 @@ from .fpt import (
     solve_via_kernel,
 )
 from .hardness import cross_validate, encode
-from .generators import GenSpec, gen
+from .generators import (
+    cluster_graph,
+    random_cluster,
+    random_cluster_modulator_instance,
+    random_interval_instance,
+    random_split,
+    random_threshold,
+    random_threshold_modulator_instance,
+)
 
 DEFAULT_BUDGET = 6
 
@@ -135,6 +154,10 @@ def _limit(value: int) -> int | None:
     return None if value <= 0 else value
 
 
+def _ids(vertices) -> str:
+    return " ".join(map(str, vertices))
+
+
 def _tree_sexp(node: MDNode) -> str:
     """`(kind child ...)` with leaves as vertex ids, written without
     recursion: a cotree can be about n/2 levels deep."""
@@ -177,7 +200,7 @@ def _parse_modulator(g: Graph, spec: str, residual: str, budget: int, report: Ru
             if not 0 <= v < g.n:
                 raise ValueError(f"modulator vertex {v} out of range")
         m = Modulator(vertices, residual)
-    report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
+    report.add("modulator", _ids(m.vertices) or "(empty)")
     return m
 
 
@@ -316,31 +339,30 @@ def _cmd_solve(args, report: RunReport) -> int:
     return _emit_coloring(args, outcome.coloring, report, "coloring_file")
 
 
+# class, in report order -> (recognizer(g) -> (ok, certificate), the
+# certificate's report lines as (key, value) pairs)
+_RECOGNIZERS = {
+    "bipartite": (lambda g: is_bipartite(g), lambda sides: [
+        ("bipartition_left", _ids(sides[0])), ("bipartition_right", _ids(sides[1]))]),
+    "cluster": (lambda g: is_cluster(g),
+                lambda cliques: [("cliques", " | ".join(map(_ids, cliques)))]),
+    "split": (lambda g: is_split(g), lambda p: [
+        ("split_clique", _ids(p.clique)), ("split_independent", _ids(p.independent))]),
+    "threshold": (lambda g: is_threshold(g), lambda order: [
+        ("threshold_order", " ".join(f"{v}:{kind}" for v, kind in order))]),
+    "cograph": (lambda g: is_cograph(g), lambda tree: [("cograph_tree", _tree_sexp(tree))]),
+}
+
+
 def _cmd_recognize(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
-    rr = recognize(g)
-    report.add("labels", " ".join(sorted(rr.labels)) or "none")
-    report.add("bipartite", "yes" if "bipartite" in rr.labels else "no")
-    if rr.bipartition is not None:
-        left, right = rr.bipartition
-        report.add("bipartition_left", " ".join(map(str, left)))
-        report.add("bipartition_right", " ".join(map(str, right)))
-    report.add("cluster", "yes" if "cluster" in rr.labels else "no")
-    if rr.cliques is not None:
-        report.add("cliques", " | ".join(" ".join(map(str, c)) for c in rr.cliques))
-    report.add("split", "yes" if "split" in rr.labels else "no")
-    if rr.split_partition is not None:
-        report.add("split_clique", " ".join(map(str, rr.split_partition.clique)))
-        report.add("split_independent", " ".join(map(str, rr.split_partition.independent)))
-    report.add("threshold", "yes" if "threshold" in rr.labels else "no")
-    if rr.elimination_order is not None:
-        report.add(
-            "threshold_order",
-            " ".join(f"{v}:{kind}" for v, kind in rr.elimination_order),
-        )
-    report.add("cograph", "yes" if "cograph" in rr.labels else "no")
-    if rr.md_tree is not None:
-        report.add("cograph_tree", _tree_sexp(rr.md_tree))
+    found = {name: (*recognizer(g), lines) for name, (recognizer, lines) in _RECOGNIZERS.items()}
+    labels = sorted(name for name, (ok, _, _) in found.items() if ok)
+    report.add("labels", " ".join(labels) or "none")
+    for name, (ok, certificate, lines) in found.items():
+        report.add(name, "yes" if ok else "no")
+        for key, value in lines(certificate) if certificate is not None else ():
+            report.add(key, value)
     return 0
 
 
@@ -350,7 +372,7 @@ def _cmd_modulator(args, report: RunReport) -> int:
     if m is None:
         report.add("modulator", "none")
         return 1
-    report.add("modulator", " ".join(map(str, m.vertices)) or "(empty)")
+    report.add("modulator", _ids(m.vertices) or "(empty)")
     report.add("size", len(m.vertices))
     report.add("residual", m.residual_class)
     return 0
@@ -401,33 +423,53 @@ def _cmd_gadget(args, report: RunReport) -> int:
     return 0 if cross.match else 4
 
 
+def _modulator_size(args) -> int:
+    if args.d is None:
+        raise ValueError(f"{args.klass} needs d")
+    return args.d
+
+
+def _modulator_lines(m: Modulator) -> list[str]:
+    return ["modulator " + _ids(m.vertices), f"residual {m.residual_class}"]
+
+
+# --class -> (generate(args, the --cliques sizes or None) -> (graph,
+# certificate), the certificate's lines for `<stem>.cert`, or None for
+# interval, whose representation goes to `<stem>.ivl`)
+_GENERATORS = {
+    "cluster": (lambda a, cliques: cluster_graph(cliques) if cliques is not None
+                else random_cluster(a.n, a.seed),
+                lambda cliques: ["clique " + _ids(c) for c in cliques]),
+    "threshold": (lambda a, cliques: random_threshold(a.n, a.seed),
+                  lambda creation: [f"step {v} {kind}" for v, kind in creation]),
+    "split": (lambda a, cliques: random_split(a.n, a.seed),
+              lambda p: ["clique " + _ids(p.clique), "independent " + _ids(p.independent)]),
+    "interval": (lambda a, cliques: random_interval_instance(a.n, a.seed), None),
+    "cluster-modulator": (
+        lambda a, cliques: random_cluster_modulator_instance(a.n, _modulator_size(a), a.seed),
+        _modulator_lines),
+    "threshold-modulator": (
+        lambda a, cliques: random_threshold_modulator_instance(a.n, _modulator_size(a), a.seed),
+        _modulator_lines),
+}
+
+
 def _cmd_gen(args, report: RunReport) -> int:
     cliques = None
     if args.cliques:
         cliques = tuple(int(tok) for tok in args.cliques.split(",") if tok.strip())
-    spec = GenSpec(tag=args.klass, n=args.n, seed=args.seed, d=args.d, cliques=cliques)
-    result = gen(spec)
+    generate, cert_lines = _GENERATORS[args.klass]
+    g, certificate = generate(args, cliques)
     stem = Path(args.out) if args.out else Path(
         f"{args.klass}-n{args.n}-s{args.seed}" + (f"-d{args.d}" if args.d is not None else "")
     )
-    report.add("vertices", result.graph.n)
-    report.add("edges", result.graph.m)
-    _emit(stem.with_suffix(".cf"), write_graph(result.graph), report, "graph_file")
-    if result.representation is not None:
-        _emit(stem.with_suffix(".ivl"), write_intervals(result.representation), report, "intervals_file")
-    cert_lines: list[str] = []
-    if result.cliques is not None:
-        cert_lines += ["clique " + " ".join(map(str, c)) for c in result.cliques]
-    if result.creation is not None:
-        cert_lines += [f"step {v} {kind}" for v, kind in result.creation]
-    if result.partition is not None:
-        cert_lines.append("clique " + " ".join(map(str, result.partition.clique)))
-        cert_lines.append("independent " + " ".join(map(str, result.partition.independent)))
-    if result.modulator is not None:
-        cert_lines.append("modulator " + " ".join(map(str, result.modulator.vertices)))
-        cert_lines.append(f"residual {result.modulator.residual_class}")
-    if cert_lines:
-        _emit(stem.with_suffix(".cert"), "\n".join(cert_lines) + "\n", report, "certificate_file")
+    report.add("vertices", g.n)
+    report.add("edges", g.m)
+    _emit(stem.with_suffix(".cf"), write_graph(g), report, "graph_file")
+    if cert_lines is None:
+        _emit(stem.with_suffix(".ivl"), write_intervals(certificate), report, "intervals_file")
+    elif lines := cert_lines(certificate):
+        _emit(stem.with_suffix(".cert"), "\n".join(lines) + "\n", report, "certificate_file")
     return 0
 
 
@@ -508,9 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gadget)
 
     p = sub.add_parser("gen", help="seeded instance generators with certificates")
-    p.add_argument("--class", dest="klass", required=True,
-                   choices=("cluster", "threshold", "split", "interval",
-                            "cluster-modulator", "threshold-modulator"))
+    p.add_argument("--class", dest="klass", required=True, choices=tuple(_GENERATORS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--d", type=int, help="modulator size for *-modulator classes")
@@ -551,3 +591,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -19,32 +19,12 @@ enumeration feasible one level deeper than the general one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, connected_components, is_connected
 from .coloring import Coloring
 from .graphclasses import Modulator, SplitPartition, is_split
 from .interval import IntervalRepresentation, graph_from_representation
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    tag: str
-    n: int
-    seed: int
-    d: int | None = None
-    cliques: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class GenResult:
-    graph: Graph
-    cliques: tuple[tuple[int, ...], ...] | None = None
-    creation: tuple[tuple[int, str], ...] | None = None
-    partition: SplitPartition | None = None
-    representation: IntervalRepresentation | None = None
-    modulator: Modulator | None = None
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -203,36 +183,6 @@ def random_threshold_modulator_instance(n: int, d: int, seed: int) -> tuple[Grap
     edges = list(residual.edges)
     g = _attach_and_connect(n, edges, range(n_res, n), rng, 0.4) if d else residual
     return g, Modulator(tuple(range(n_res, n)), "threshold")
-
-
-def gen(spec: GenSpec) -> GenResult:
-    """Dispatch on the class tag; every result carries its certificate."""
-    if spec.tag == "cluster":
-        if spec.cliques is not None:
-            g, cliques = cluster_graph(spec.cliques)
-        else:
-            g, cliques = random_cluster(spec.n, spec.seed)
-        return GenResult(g, cliques=cliques)
-    if spec.tag == "threshold":
-        g, creation = random_threshold(spec.n, spec.seed)
-        return GenResult(g, creation=creation)
-    if spec.tag == "split":
-        g, partition = random_split(spec.n, spec.seed)
-        return GenResult(g, partition=partition)
-    if spec.tag == "interval":
-        g, rep = random_interval_instance(spec.n, spec.seed)
-        return GenResult(g, representation=rep)
-    if spec.tag == "cluster-modulator":
-        if spec.d is None:
-            raise ValueError("cluster-modulator needs d")
-        g, mod = random_cluster_modulator_instance(spec.n, spec.d, spec.seed)
-        return GenResult(g, modulator=mod)
-    if spec.tag == "threshold-modulator":
-        if spec.d is None:
-            raise ValueError("threshold-modulator needs d")
-        g, mod = random_threshold_modulator_instance(spec.n, spec.d, spec.seed)
-        return GenResult(g, modulator=mod)
-    raise ValueError(f"unknown generator tag {spec.tag!r}")
 
 
 # --- exhaustive enumeration ------------------------------------------------

@@ -21,14 +21,14 @@ rather than an allocation the text cannot justify.  The line reader
 gives a list only to vertices on some edge, the bulk reader only to ids
 up to the largest endpoint; every other vertex shares the empty tuple.
 
-The reader takes canonical text (what `write_graph` emits without a
-comment) in bulk: one pattern match, one split, one conversion per
-distinct endpoint token, and C-level checks of
-the vertex and edge counts, the id range and the order (u < v, which
-rules out self-loops, and each edge after the one before, which rules
-out duplicates).  Any other text, or canonical-looking text that fails
-a check, goes through the line-by-line reader, which is the reference
-and the only source of format errors.
+The reader takes canonical text (what `write_graph` emits) in bulk:
+one pattern match, one split, one conversion per distinct endpoint
+token, and C-level checks of the vertex and edge counts, the id range
+and the order (u < v, which rules out self-loops, and each edge after
+the one before, which rules out duplicates).  Any other text, or
+canonical-looking text that fails a check, goes through the
+line-by-line reader, which is the reference and the only source of
+format errors.
 """
 
 from __future__ import annotations
@@ -129,9 +129,9 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# the shape of what `write_graph` emits without a comment: ASCII digits,
-# single spaces, every line ended by a newline; a digit run is at most
-# 20 long, so `int` never meets its limit on digits
+# the shape of what `write_graph` emits: ASCII digits, single spaces,
+# every line ended by a newline; a digit run is at most 20 long, so
+# `int` never meets its limit on digits
 _CANONICAL = re.compile(r"p cf ([0-9]{1,20}) ([0-9]{1,20})\n(?:e [0-9]{1,20} [0-9]{1,20}\n)*")
 
 
@@ -222,13 +222,9 @@ def _parse_lines(text: str) -> Graph:
     return Graph._trusted(tuple(adj))
 
 
-def write_graph(g: Graph, comment: str | None = None) -> str:
+def write_graph(g: Graph) -> str:
     """Canonical text form: sorted edge lines, write∘parse is a fixpoint."""
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
-    lines.append(f"p cf {g.n} {g.m}")
+    lines = [f"p cf {g.n} {g.m}"]
     for u, v in g.edges:
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"

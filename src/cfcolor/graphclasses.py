@@ -94,16 +94,6 @@ class MDNode:
         return self.vertices[0]
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
-    labels: frozenset[str]
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    cliques: tuple[tuple[int, ...], ...] | None = None
-    split_partition: SplitPartition | None = None
-    elimination_order: tuple[tuple[int, str], ...] | None = None
-    md_tree: MDNode | None = None
-
-
 def is_bipartite(g: Graph) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """BFS two-coloring; component roots (smallest ids) land on side A."""
     side = [-1] * g.n
@@ -285,33 +275,6 @@ def is_cograph(g: Graph) -> tuple[bool, MDNode | None]:
     if has_prime_node(tree):
         return False, tree
     return True, tree
-
-
-def recognize(g: Graph) -> RecognitionReport:
-    labels = set()
-    bip_ok, bipartition = is_bipartite(g)
-    if bip_ok:
-        labels.add("bipartite")
-    clu_ok, cliques = is_cluster(g)
-    if clu_ok:
-        labels.add("cluster")
-    spl_ok, partition = is_split(g)
-    if spl_ok:
-        labels.add("split")
-    thr_ok, order = is_threshold(g)
-    if thr_ok:
-        labels.add("threshold")
-    cog_ok, tree = is_cograph(g)
-    if cog_ok:
-        labels.add("cograph")
-    return RecognitionReport(
-        labels=frozenset(labels),
-        bipartition=bipartition if bip_ok else None,
-        cliques=cliques if clu_ok else None,
-        split_partition=partition if spl_ok else None,
-        elimination_order=order if thr_ok else None,
-        md_tree=tree,
-    )
 
 
 def _cluster_check(

@@ -22,11 +22,10 @@ regain a unique color and the prune is sound.  The search runs as a
 loop over an explicit depth counter, so its depth is not bounded by
 Python's recursion limit.
 
-`find_unique_coloring` / `min_unique_coloring` work on an arbitrary
-family of vertex sets; the CF-CN / CF-ON entry points instantiate them
-with closed / open neighborhoods.  Both entry points refuse graphs above
-a size guard (default 16 vertices) unless the limit is lifted, and
-re-verify every witness they return.
+`find_unique_coloring` works on an arbitrary family of vertex sets; the
+CF-CN / CF-ON entry points search closed / open neighborhoods.  Both
+entry points refuse graphs above a size guard (default 16 vertices)
+unless the limit is lifted, and re-verify every witness they return.
 """
 
 from __future__ import annotations
@@ -167,18 +166,6 @@ def find_unique_coloring(
     return _search(k, constraints, *_search_order(n, constraints))
 
 
-def min_unique_coloring(
-    n: int, constraints: Sequence[Sequence[int]], max_k: int
-) -> tuple[int, list[int]] | None:
-    """Smallest k <= max_k admitting a unique coloring, with a witness."""
-    prepared, order = _search_order(n, constraints)
-    for k in range(1, max_k + 1):
-        witness = _search(k, constraints, prepared, order)
-        if witness is not None:
-            return k, witness
-    return None
-
-
 def _neighborhood_constraints(g: Graph, variant: str) -> list[tuple[int, ...]]:
     return [neighborhood(g, v, variant) for v in range(g.n)]
 
@@ -190,24 +177,24 @@ def _check_guard(g: Graph, limit: int | None) -> None:
         )
 
 
-def exact_cf(
-    g: Graph, variant: str, max_k: int | None = None, limit: int | None = DEFAULT_LIMIT
-) -> OracleResult:
-    """Minimum number of distinct colors for the variant, with a witness.
+def exact_cf(g: Graph, variant: str, limit: int | None = DEFAULT_LIMIT) -> OracleResult:
+    """Minimum number of distinct colors for the variant, with a witness:
+    the search runs k = 1, 2, ... over one search order.
 
     CF-ON on a graph with an isolated vertex is infeasible at every k.
-    n distinct colors always suffice otherwise, so the search is bounded.
+    Otherwise every neighborhood is nonempty, so k = n (all colors
+    distinct) always succeeds and the loop ends by then.
     """
     _check_guard(g, limit)
     if not feasible(g, variant):
         return OracleResult(None, None, infeasible=True)
     if g.n == 0:
         return OracleResult(0, Coloring(g, ()))
-    cap = g.n if max_k is None else max_k
-    found = min_unique_coloring(g.n, _neighborhood_constraints(g, variant), cap)
-    if found is None:
-        return OracleResult(None, None)
-    k, colors = found
+    constraints = _neighborhood_constraints(g, variant)
+    prepared, order = _search_order(g.n, constraints)
+    k = 1
+    while (colors := _search(k, constraints, prepared, order)) is None:
+        k += 1
     witness = checked(Coloring(g, tuple(colors)), variant, "the oracle's witness check")
     return OracleResult(k, witness)
 

@@ -14,7 +14,7 @@ import cfcolor
 from cfcolor.cli import build_parser, dispatch
 from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify
 from cfcolor.fpt import kernelize, provenance
-from cfcolor.generators import enumerate_small, random_split, random_threshold
+from cfcolor.generators import enumerate_small, random_graph, random_split, random_threshold
 from cfcolor.graph import Graph, parse_graph, write_graph
 from cfcolor.graphclasses import Modulator, is_bipartite, is_cograph, is_split
 from cfcolor.polysolve import SolveOutcome
@@ -414,6 +414,15 @@ def test_python_dash_m_matches_dispatch(tmp_path, capsys):
     assert [code for code, _ in fresh] == [0, 0, 1, 2]
 
 
+@pytest.mark.parametrize("module", ["cfcolor", "cfcolor.cli"])
+def test_python_dash_m_version(tmp_path, module):
+    # `python -m cfcolor.cli` runs main() as `python -m cfcolor` does
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", module, "--version"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "cfcolor 0.1.0\n")
+
+
 def test_modulator_found_and_missing(tmp_path, capsys):
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "modulator", "--class", "cluster", "--budget", "2", g)
@@ -523,10 +532,53 @@ def test_gen_determinism(tmp_path, capsys):
     assert (tmp_path / "a.cert").read_text() == (tmp_path / "b.cert").read_text()
 
 
-def test_gen_missing_d(capsys):
+def test_gen_missing_d(tmp_path, capsys):
     code, pairs, _ = run(capsys, "gen", "--class", "threshold-modulator", "--n", "8",
                          "--seed", "1")
     assert code == 2 and "needs d" in pairs["error"]
+    code, pairs, _ = run(capsys, "gen", "--class", "cluster-modulator", "--n", "8", "--seed", "1",
+                         "--out", str(tmp_path / "g"))
+    assert code == 2 and pairs["error"] == "cluster-modulator needs d"
+    assert list(tmp_path.iterdir()) == []  # refused before any artifact
+
+
+def _hash_run(h, capsys, argv):
+    """Feed the exit code and the report into `h`, without the lines
+    that vary from run to run (timing, command echo, input path and
+    digest) and with each artifact's bytes in place of its path."""
+    h.update(f"exit {dispatch(argv)}\n".encode())
+    for line in capsys.readouterr().out.splitlines():
+        key, _, value = line.partition(": ")
+        if key in ("time_ms", "command", "input_graph"):
+            continue
+        h.update(f"{key}\n".encode())
+        h.update(Path(value).read_bytes() if key.endswith("_file") else f"{value}\n".encode())
+
+
+def test_recognize_and_gen_output_pinned(tmp_path, capsys):
+    # sha256 over `recognize` reports on every connected graph with at
+    # most 5 vertices, the empty and an edgeless graph, 2K3 and seeded
+    # G(n, p), disconnected threshold and split graphs, and over `gen`
+    # reports and artifacts for every class, seeds 0-2, with no option,
+    # --d 2 and --cliques 3,1,2; as computed when `recognize` and `gen`
+    # went through library dispatch functions
+    texts = [write_graph(g) for n in range(1, 6) for g in enumerate_small(n)]
+    texts += ["p cf 0 0\n", "p cf 4 0\n", write_graph(Graph(6, [(0, 1), (0, 2), (1, 2),
+                                                                (3, 4), (3, 5), (4, 5)]))]
+    for s in range(3):
+        texts += [write_graph(random_graph(12, 0.3, s)), write_graph(random_graph(30, 0.1, s)),
+                  write_graph(random_threshold(20, s, connected=False)[0]),
+                  write_graph(random_split(15, s)[0])]
+    h = hashlib.sha256()
+    for text in texts:
+        _hash_run(h, capsys, ["recognize", put(tmp_path, "g.cf", text)])
+    for klass in ("cluster", "threshold", "split", "interval", "cluster-modulator",
+                  "threshold-modulator"):
+        for seed in range(3):
+            for extra in ([], ["--d", "2"], ["--cliques", "3,1,2"]):
+                _hash_run(h, capsys, ["gen", "--class", klass, "--n", "7", "--seed", str(seed),
+                                      *extra, "--out", str(tmp_path / "gen")])
+    assert h.hexdigest() == "50f22378ccaa3ef1ac529532e75565b6a0a661b1391a3cee3f41e1336a1e4f76"
 
 
 def test_solver_defect_exits_4(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 
 from cfcolor.graph import Graph, is_connected
 from cfcolor.graphclasses import (
+    Modulator,
+    SplitPartition,
     is_bipartite,
     is_cluster,
     is_cograph,
@@ -12,19 +14,19 @@ from cfcolor.graphclasses import (
     replay_elimination,
     validate_modulator,
 )
-from cfcolor.interval import validate_representation
+from cfcolor.interval import IntervalRepresentation, validate_representation
 from cfcolor.generators import (
-    GenSpec,
     cluster_graph,
     connected_split_graphs,
     enumerate_small,
-    gen,
     random_cluster,
+    random_cluster_modulator_instance,
     random_coloring,
     random_graph,
     random_interval_instance,
     random_split,
     random_threshold,
+    random_threshold_modulator_instance,
     _invariant,
     _isomorphic,
 )
@@ -114,38 +116,42 @@ def test_random_interval_certificate(seed):
     ("threshold-modulator", "modulator"),
 ])
 def test_gen_dispatch(tag, field):
-    spec = GenSpec(tag, 7, 5, d=2)
-    res = gen(spec)
-    assert res.graph.n == 7
-    assert getattr(res, field) is not None
-    assert gen(spec) == res  # deterministic
+    # each generator behind `cfcolor gen --class <tag>`, at n 7, seed 5,
+    # d 2, with its certificate of the kind `field` names
+    generate = {
+        "cluster": lambda: random_cluster(7, 5),
+        "threshold": lambda: random_threshold(7, 5),
+        "split": lambda: random_split(7, 5),
+        "interval": lambda: random_interval_instance(7, 5),
+        "cluster-modulator": lambda: random_cluster_modulator_instance(7, 2, 5),
+        "threshold-modulator": lambda: random_threshold_modulator_instance(7, 2, 5),
+    }[tag]
+    kind = {"cliques": tuple, "creation": tuple, "partition": SplitPartition,
+            "representation": IntervalRepresentation, "modulator": Modulator}[field]
+    g, certificate = generate()
+    assert g.n == 7
+    assert isinstance(certificate, kind)
+    assert generate() == (g, certificate)  # deterministic
 
 
 def test_gen_modulator_certificates():
     for d in (0, 1, 2):
         for seed in SEEDS:
-            res = gen(GenSpec("cluster-modulator", 7, seed, d=d))
-            assert res.modulator.residual_class == "cluster"
-            assert validate_modulator(res.graph, res.modulator)
-            assert is_connected(res.graph)
-            res = gen(GenSpec("threshold-modulator", 7, seed, d=d))
-            assert res.modulator.residual_class == "threshold"
-            assert validate_modulator(res.graph, res.modulator)
-
-
-def test_gen_errors():
-    with pytest.raises(ValueError, match="unknown generator tag"):
-        gen(GenSpec("petersen", 10, 0))
-    with pytest.raises(ValueError, match="needs d"):
-        gen(GenSpec("cluster-modulator", 5, 0))
+            g, modulator = random_cluster_modulator_instance(7, d, seed)
+            assert modulator.residual_class == "cluster"
+            assert validate_modulator(g, modulator)
+            assert is_connected(g)
+            g, modulator = random_threshold_modulator_instance(7, d, seed)
+            assert modulator.residual_class == "threshold"
+            assert validate_modulator(g, modulator)
 
 
 def test_gen_explicit_cliques():
-    res = gen(GenSpec("cluster", 6, 0, cliques=(4, 2)))
-    assert res.cliques == ((0, 1, 2, 3), (4, 5))
-    k3k2 = gen(GenSpec("cluster", 5, 0, cliques=(3, 2)))
-    assert k3k2.graph == Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    assert is_cluster(k3k2.graph)[0]
+    _, cliques = cluster_graph((4, 2))
+    assert cliques == ((0, 1, 2, 3), (4, 5))
+    k3k2, _ = cluster_graph((3, 2))
+    assert k3k2 == Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    assert is_cluster(k3k2)[0]
 
 
 # --- exhaustive enumeration ------------------------------------------------

@@ -22,7 +22,6 @@ from cfcolor.graphclasses import (
     is_split,
     is_threshold,
     modular_decomposition,
-    recognize,
     replay_elimination,
     residual_components,
     threshold_modulator,
@@ -50,6 +49,10 @@ C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 TWO_K2 = Graph(4, [(0, 1), (2, 3)])
 STAR3 = Graph(4, [(0, 1), (0, 2), (0, 3)])
 
+# the classes `cfcolor recognize` reports, each with its recognizer
+RECOGNIZERS = {"bipartite": is_bipartite, "cluster": is_cluster, "split": is_split,
+               "threshold": is_threshold, "cograph": is_cograph}
+
 
 def all_graphs_up_to(n):
     _levels_up_to(n, None, _plain_levels)
@@ -71,7 +74,7 @@ def all_graphs_up_to(n):
     ],
 )
 def test_recognize_labels(g, expected):
-    assert recognize(g).labels == frozenset(expected)
+    assert {name for name, recognizer in RECOGNIZERS.items() if recognizer(g)[0]} == expected
 
 
 # --- recognizers against brute-force definitions ---------------------------
@@ -598,27 +601,27 @@ def _recognize_pin_graphs():
 
 
 def test_recognize_pinned():
-    # sha256 over the labels (sorted, as a frozenset's order depends on
-    # the hash seed) and the certificates that `recognize` reports, on
-    # every labeled graph with at most 5 vertices and on seeded
-    # threshold, cluster, split and G(n, p) graphs up to 300 vertices,
-    # as computed when each class had its own recognizer beside the
-    # modulator search's obstruction finders
+    # sha256 over the sorted labels and the certificates the recognizers
+    # return, on every labeled graph with at most 5 vertices and on
+    # seeded threshold, cluster, split and G(n, p) graphs up to 300
+    # vertices, as computed when each class had its own recognizer
+    # beside the modulator search's obstruction finders
     h = hashlib.sha256()
     for g in _recognize_pin_graphs():
-        rep = recognize(g)
-        split = rep.split_partition
-        h.update(repr((sorted(rep.labels), rep.cliques,
+        found = {name: recognizer(g) for name, recognizer in RECOGNIZERS.items()}
+        split = found["split"][1]
+        h.update(repr((sorted(name for name, (ok, _) in found.items() if ok), found["cluster"][1],
                        split and (split.clique, split.independent),
-                       rep.bipartition, rep.elimination_order)).encode())
+                       found["bipartite"][1], found["threshold"][1])).encode())
     assert h.hexdigest() == "5276e333b37cd315b764a988ab82e9fa3e717115c9a33b214a9ced31a2335abe"
 
 
 def test_recognize_report_bundles_certificates():
-    rep = recognize(STAR3)
-    assert "threshold" in rep.labels and "split" in rep.labels
-    assert rep.split_partition is not None
-    assert rep.elimination_order is not None
-    assert rep.md_tree is not None and not has_prime_node(rep.md_tree)
-    assert rep.bipartition is not None
-    assert rep.cliques is None  # a star is not a cluster graph
+    found = {name: recognizer(STAR3) for name, recognizer in RECOGNIZERS.items()}
+    assert found["threshold"][0] and found["split"][0]
+    assert found["split"][1] is not None
+    assert found["threshold"][1] is not None
+    tree = found["cograph"][1]
+    assert tree is not None and not has_prime_node(tree)
+    assert found["bipartite"][1] is not None
+    assert found["cluster"][1] is None  # a star is not a cluster graph

@@ -96,11 +96,6 @@ def test_size_guard():
     assert exact_cf(big, "cn", limit=20).chromatic == 1
 
 
-def test_max_k_cutoff():
-    assert exact_cf(K3, "on", max_k=2).chromatic is None
-    assert exact_cf(K3, "on", max_k=3).chromatic == 3
-
-
 def test_rejected_witness_raises(monkeypatch):
     # an explicit check, so it also holds under `python -O`
     monkeypatch.setattr(oracle, "_search", lambda k, constraints, member_of, order: [0] * len(order))
