@@ -89,6 +89,8 @@ def random_threshold(n: int, seed: int, connected: bool = True) -> tuple[Graph, 
 
 
 def random_split(n: int, seed: int) -> tuple[Graph, SplitPartition]:
+    if n < 1:
+        raise ValueError("need n >= 1")
     rng = random.Random(seed)
     a = rng.randint(1, n)
     edges = [(u, v) for u in range(a) for v in range(u + 1, a)]

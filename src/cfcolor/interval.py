@@ -5,15 +5,20 @@ Endpoints are exact rationals (`fractions.Fraction`); all 2n endpoints
 must be pairwise distinct, and a representation with tied endpoints is
 rejected rather than perturbed.  Intervals are closed, so u ~ v iff
 max(l_u, l_v) <= min(r_u, r_v).  Validation and the sweep compare the
-endpoints as integers: each is scaled once by the least common
-denominator, which keeps their order and their ties exactly.
+endpoints as integers, computed once per call: the numerators when
+every endpoint is an integer, else each endpoint's rank among the
+distinct endpoints.  Both keep the order and the ties exactly, and a
+rank stays below 2n however large the denominators are.
 
-Validation finds the intersecting pairs by one sweep over the sorted
-endpoints: at each left endpoint, the intervals still open are exactly
-the new interval's partners.  That costs O(n log n) plus the number of
-pairs, instead of comparing all n^2 pairs.  The representation is valid
-iff those pairs are the graph's edges; otherwise the verdict names the
-lexicographically smallest pair on which they differ.
+Validation accepts a representation by counting, with no pair built:
+the number of meeting pairs (n choose 2 less the disjoint ones, counted
+over the sorted right endpoints) must be m, and no vertex may have a
+neighbour that starts after it ends.  Then the meeting pairs are
+exactly the edges, in O(n log n + m).  Only a rejected representation
+has its intersecting pairs listed, by one sweep over the sorted
+endpoints (at each left endpoint, the intervals still open are exactly
+the new interval's partners), so that the verdict can name the
+lexicographically smallest pair on which they differ from the graph.
 
 The sweep processes intervals by increasing left endpoint and colors an
 as-yet-uncolored interval together with a chain of at most two
@@ -31,18 +36,28 @@ identically.
 
 File format: one `i <vertex> <left> <right>` line per vertex with
 rational literals such as `7/2`.  Exponents (`1e3`) are refused:
-`Fraction` would expand each one to all its digits.
+`Fraction` would expand each one to all its digits.  A literal of ASCII
+digits with an optional sign is read by `int`, which skips `Fraction`'s
+pattern match; text exactly as `write_intervals` emits it for integer
+endpoints is read in bulk.
 """
 
 from __future__ import annotations
 
-import math
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .graph import Graph, GraphFormatError, is_connected
 from .coloring import (UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SolveOutcome,
                        checked_outcome)
+
+# the shape of what `write_intervals` emits for integer endpoints: ASCII
+# digits, single spaces, every line ended by a newline; a digit run is
+# at most 20 long, so `int` never meets its limit on digits
+_CANONICAL = re.compile(r"(?:i [0-9]{1,20} -?[0-9]{1,20} -?[0-9]{1,20}\n)+")
 
 
 @dataclass(frozen=True)
@@ -71,7 +86,22 @@ class RepresentationVerdict:
 
 
 def parse_intervals(text: str, n: int) -> IntervalRepresentation:
-    """Parse `i <vertex> <left> <right>` lines covering 0..n-1 exactly once."""
+    """Parse `i <vertex> <left> <right>` lines covering 0..n-1 exactly once.
+
+    Canonical text with integer endpoints (what `write_intervals` emits
+    for them) is read in bulk; any other text goes through the
+    line-by-line reader, which gives the same representation or the
+    error."""
+    if _CANONICAL.fullmatch(text):
+        tokens = text.split()
+        if tokens[1::4] == list(map(str, range(n))):
+            return IntervalRepresentation(tuple(zip(
+                map(Fraction, map(int, tokens[2::4])), map(Fraction, map(int, tokens[3::4])))))
+    return _parse_lines(text, n)
+
+
+def _parse_lines(text: str, n: int) -> IntervalRepresentation:
+    """The line-by-line reader: any text, and every format error."""
     seen: dict[int, tuple[Fraction, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -82,9 +112,7 @@ def parse_intervals(text: str, n: int) -> IntervalRepresentation:
             raise GraphFormatError("malformed line, expected 'i <vertex> <left> <right>'", lineno)
         try:
             v = int(fields[1])
-            if "e" in (fields[2] + fields[3]).lower():
-                raise ValueError("exponent in a rational literal")
-            l, r = Fraction(fields[2]), Fraction(fields[3])
+            l, r = _endpoint(fields[2]), _endpoint(fields[3])
         except (ValueError, ZeroDivisionError):
             raise GraphFormatError("bad vertex id or rational literal", lineno) from None
         if not (0 <= v < n):
@@ -98,17 +126,34 @@ def parse_intervals(text: str, n: int) -> IntervalRepresentation:
     return IntervalRepresentation(tuple(seen[v] for v in range(n)))
 
 
+def _endpoint(token: str) -> Fraction:
+    """`Fraction(token)`, by way of `int` for ASCII digits with an
+    optional sign; exponents are refused."""
+    digits = token[1:] if token[0] in "+-" else token
+    if digits.isdigit() and digits.isascii():
+        return Fraction(int(token))
+    if "e" in token.lower():
+        raise ValueError("exponent in a rational literal")
+    return Fraction(token)
+
+
 def write_intervals(rep: IntervalRepresentation) -> str:
     lines = [f"i {v} {l} {r}" for v, (l, r) in enumerate(rep.intervals)]
     return "\n".join(lines) + "\n"
 
 
 def _integer_endpoints(rep: IntervalRepresentation) -> tuple[list[int], list[int]]:
-    """The left and the right endpoints times the least common
-    denominator: integers in the same order as the rationals."""
-    scale = math.lcm(*(x.denominator for ends in rep.intervals for x in ends))
-    return ([l.numerator * (scale // l.denominator) for l, _ in rep.intervals],
-            [r.numerator * (scale // r.denominator) for _, r in rep.intervals])
+    """The left and the right endpoints as integers in the same order
+    and with the same ties: the numerators when every endpoint is an
+    integer, else each endpoint's rank among the distinct endpoints
+    (below 2n, whatever the denominators)."""
+    ends = [x for pair in rep.intervals for x in pair]
+    if all(x.denominator == 1 for x in ends):
+        ints = [x.numerator for x in ends]
+    else:
+        rank = {x: i for i, x in enumerate(sorted(set(ends)))}
+        ints = list(map(rank.__getitem__, ends))
+    return ints[0::2], ints[1::2]
 
 
 def _intersecting_pairs(left: list[int], right: list[int]) -> set[tuple[int, int]]:
@@ -131,34 +176,48 @@ def _intersecting_pairs(left: list[int], right: list[int]) -> set[tuple[int, int
     return pairs
 
 
-def validate_representation(g: Graph, rep: IntervalRepresentation) -> RepresentationVerdict:
-    """Endpoints distinct, l < r per interval, and intersections match g;
-    a mismatch names the lexicographically smallest mismatched pair."""
-    if rep.n != g.n:
-        return RepresentationVerdict(False, f"{rep.n} intervals for {g.n} vertices")
-    left, right = _integer_endpoints(rep)
+def _meets_exactly(g: Graph, left: list[int], right: list[int]) -> bool:
+    """Whether the intervals that meet are exactly g's edges, for
+    intervals with l < r and pairwise distinct endpoints.  Counting over
+    the sorted right endpoints gives the number of meeting pairs: n
+    choose 2 less the pairs in which one interval ends before the other
+    starts.  Each edge's intervals meet when no vertex has a neighbour
+    that starts after it ends; then the meeting pairs include the m
+    edges, and they are the edges iff there are m of them.
+    O(n log n + m), and no pair is built."""
+    n = len(left)
+    rights = sorted(right)
+    if n * (n - 1) // 2 - sum(map(bisect_left, repeat(rights, n), left)) != g.m:
+        return False
+    return not any(nb and max(map(left.__getitem__, nb)) > r
+                   for nb, r in zip(map(g.neighbors, range(n)), right))
+
+
+def _verdict(g: Graph, left: list[int], right: list[int]) -> RepresentationVerdict:
+    """`validate_representation` on endpoints already made integers."""
+    if len(left) != g.n:
+        return RepresentationVerdict(False, f"{len(left)} intervals for {g.n} vertices")
     for v, (l, r) in enumerate(zip(left, right)):
         if not l < r:
             return RepresentationVerdict(False, f"interval of vertex {v} has l >= r")
     if len(set(left + right)) != 2 * g.n:
         return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
-    meets = _intersecting_pairs(left, right)
-    mismatched = meets.symmetric_difference(g.edges)
-    if not mismatched:
+    if _meets_exactly(g, left, right):
         return RepresentationVerdict(True)
-    u, v = min(mismatched)
+    meets = _intersecting_pairs(left, right)
+    u, v = min(meets.symmetric_difference(g.edges))
     kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
     return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
 
 
+def validate_representation(g: Graph, rep: IntervalRepresentation) -> RepresentationVerdict:
+    """Endpoints distinct, l < r per interval, and intersections match g;
+    a mismatch names the lexicographically smallest mismatched pair."""
+    return _verdict(g, *_integer_endpoints(rep))
+
+
 def graph_from_representation(rep: IntervalRepresentation) -> Graph:
     return Graph(rep.n, _intersecting_pairs(*_integer_endpoints(rep)))
-
-
-def _require_valid(g: Graph, rep: IntervalRepresentation) -> None:
-    verdict = validate_representation(g, rep)
-    if not verdict.ok:
-        raise ValueError(f"invalid interval representation: {verdict.reason}")
 
 
 def _max_right_neighbor(g: Graph, right: list[int], v: int) -> int | None:
@@ -180,14 +239,16 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
     neighborhoods inside the stated endpoint window.  Only the guard and
     the globally rightmost interval depend on the variant.
     """
-    _require_valid(g, rep)
+    left, right = _integer_endpoints(rep)
+    verdict = _verdict(g, left, right)
+    if not verdict.ok:
+        raise ValueError(f"invalid interval representation: {verdict.reason}")
     if g.n < (1 if variant == VARIANT_CN else 2) or not is_connected(g):
         raise ValueError(
             "sweep requires a connected interval graph" if variant == VARIANT_CN
             else "open-neighborhood sweep requires a connected graph on >= 2 vertices"
         )
     colors: list[int] = [-1] * g.n
-    left, right = _integer_endpoints(rep)
     rightmost = max(range(g.n), key=right.__getitem__)
     order = sorted(range(g.n), key=left.__getitem__)
 

@@ -542,6 +542,12 @@ def test_gen_missing_d(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # refused before any artifact
 
 
+@pytest.mark.parametrize("klass", ["split", "threshold", "interval"])
+def test_gen_refuses_empty(klass, capsys):
+    code, pairs, _ = run(capsys, "gen", "--class", klass, "--n", "0", "--seed", "1")
+    assert code == 2 and pairs["error"] == "need n >= 1"
+
+
 def _hash_run(h, capsys, argv):
     """Feed the exit code and the report into `h`, without the lines
     that vary from run to run (timing, command echo, input path and

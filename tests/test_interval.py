@@ -14,6 +14,9 @@ from cfcolor.polysolve import UPPER_BOUND
 from cfcolor.interval import (
     IntervalRepresentation,
     RepresentationVerdict,
+    _integer_endpoints,
+    _intersecting_pairs,
+    _meets_exactly,
     cfcn_interval,
     cfon_interval,
     graph_from_representation,
@@ -69,7 +72,8 @@ def test_parse_errors(text, message):
         parse_intervals(text, 2)
 
 
-@pytest.mark.parametrize("literal", ["0", "007", "+3", "-0", "1_0", "7/2", "-7/2", "1.5",
+@pytest.mark.parametrize("literal", ["0", "007", "+3", "-0", "-007", "+0", "00", "9" * 40,
+                                     "1_0", "7/2", "-7/2", "1.5",
                                      "\uff13", "\u0663", "1e3", "1E3", "1/0"])
 def test_parse_endpoint_is_fraction_of_literal(literal):
     # an endpoint is Fraction(literal), a literal Fraction refuses is
@@ -208,6 +212,71 @@ def test_sweep_matches_pairwise_reference(n, seed):
     noisy = Graph(n, [p for p in pairs if truth.has_edge(*p) != (p in flipped)])
     for graph in (truth, noisy, Graph(n, [p for p in pairs if rng.random() < 0.5])):
         assert validate_representation(graph, rep) == _pairwise_verdict(graph, rep)
+
+
+def _pair_set_verdict(g, rep):
+    """Reference: every intersecting pair built as a set, on the
+    rational endpoints themselves, and compared with g's edges."""
+    if rep.n != g.n:
+        return RepresentationVerdict(False, f"{rep.n} intervals for {g.n} vertices")
+    left, right = [l for l, _ in rep.intervals], [r for _, r in rep.intervals]
+    for v, (l, r) in enumerate(rep.intervals):
+        if not l < r:
+            return RepresentationVerdict(False, f"interval of vertex {v} has l >= r")
+    if len(set(left + right)) != 2 * g.n:
+        return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
+    meets = _intersecting_pairs(left, right)
+    mismatched = meets.symmetric_difference(g.edges)
+    if not mismatched:
+        return RepresentationVerdict(True)
+    u, v = min(mismatched)
+    kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
+    return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
+
+
+@given(st.integers(1, 30), st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_counting_check_matches_pair_sets(n, seed):
+    # valid representations with integer and with rational endpoints,
+    # each with one endpoint moved, against the graph and the graph
+    # with one edge removed or added
+    rng = random.Random(seed)
+    g, rep = random_interval_instance(n, seed)
+    scale = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+    reps = [rep, IntervalRepresentation(tuple((l * scale, r * scale) for l, r in rep.intervals)),
+            _random_rep(n, rng)]
+    for valid in reps[:]:
+        intervals = [list(pair) for pair in valid.intervals]
+        intervals[rng.randrange(n)][rng.randrange(2)] += Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        reps.append(IntervalRepresentation(tuple(map(tuple, intervals))))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for rep in reps:
+        truth = graph_from_representation(rep)
+        edges, non_edges = list(truth.edges), [p for p in pairs if not truth.has_edge(*p)]
+        graphs = [truth, g]
+        if edges:
+            drop = rng.choice(edges)
+            graphs.append(Graph(n, [e for e in edges if e != drop]))
+        if non_edges:
+            graphs.append(Graph(n, edges + [rng.choice(non_edges)]))
+        for graph in graphs:
+            want = _pair_set_verdict(graph, rep)
+            assert validate_representation(graph, rep) == want
+            if want.ok or want.pair:
+                assert _meets_exactly(graph, *_integer_endpoints(rep)) == want.ok
+
+
+def test_large_denominators_rank_below_2n():
+    # distinct 1000-digit denominators: the endpoints' common denominator
+    # would have about 200 000 digits, their ranks stay below 2n
+    n = 200
+    g, whole = random_interval_instance(n, 3)
+    rep = IntervalRepresentation(tuple(
+        (l, r + Fraction(1, 10**999 + v)) for v, (l, r) in enumerate(whole.intervals)))
+    assert validate_representation(g, rep)
+    left, right = _integer_endpoints(rep)
+    assert all(0 <= x < 2 * n for x in left + right)
+    assert cfcn_interval(g, rep).coloring.colors == cfcn_interval(g, whole).coloring.colors
 
 
 # --- frozen sweep traces ---------------------------------------------------
