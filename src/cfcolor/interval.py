@@ -38,13 +38,11 @@ File format: one `i <vertex> <left> <right>` line per vertex with
 rational literals such as `7/2`.  Exponents (`1e3`) are refused:
 `Fraction` would expand each one to all its digits.  A literal of ASCII
 digits with an optional sign is read by `int`, which skips `Fraction`'s
-pattern match; text exactly as `write_intervals` emits it for integer
-endpoints is read in bulk.
+pattern match.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,11 +51,6 @@ from itertools import repeat
 from .graph import Graph, GraphFormatError, is_connected
 from .coloring import (UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SolveOutcome,
                        checked_outcome)
-
-# the shape of what `write_intervals` emits for integer endpoints: ASCII
-# digits, single spaces, every line ended by a newline; a digit run is
-# at most 20 long, so `int` never meets its limit on digits
-_CANONICAL = re.compile(r"(?:i [0-9]{1,20} -?[0-9]{1,20} -?[0-9]{1,20}\n)+")
 
 
 @dataclass(frozen=True)
@@ -86,22 +79,7 @@ class RepresentationVerdict:
 
 
 def parse_intervals(text: str, n: int) -> IntervalRepresentation:
-    """Parse `i <vertex> <left> <right>` lines covering 0..n-1 exactly once.
-
-    Canonical text with integer endpoints (what `write_intervals` emits
-    for them) is read in bulk; any other text goes through the
-    line-by-line reader, which gives the same representation or the
-    error."""
-    if _CANONICAL.fullmatch(text):
-        tokens = text.split()
-        if tokens[1::4] == list(map(str, range(n))):
-            return IntervalRepresentation(tuple(zip(
-                map(Fraction, map(int, tokens[2::4])), map(Fraction, map(int, tokens[3::4])))))
-    return _parse_lines(text, n)
-
-
-def _parse_lines(text: str, n: int) -> IntervalRepresentation:
-    """The line-by-line reader: any text, and every format error."""
+    """Parse `i <vertex> <left> <right>` lines covering 0..n-1 exactly once."""
     seen: dict[int, tuple[Fraction, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -193,8 +171,12 @@ def _meets_exactly(g: Graph, left: list[int], right: list[int]) -> bool:
                    for nb, r in zip(map(g.neighbors, range(n)), right))
 
 
-def _verdict(g: Graph, left: list[int], right: list[int]) -> RepresentationVerdict:
-    """`validate_representation` on endpoints already made integers."""
+def validate_representation(g: Graph, rep: IntervalRepresentation,
+                            ends: tuple[list[int], list[int]] | None = None) -> RepresentationVerdict:
+    """Endpoints distinct, l < r per interval, and intersections match g;
+    a mismatch names the lexicographically smallest mismatched pair.
+    `ends` is `_integer_endpoints(rep)`, for a caller that has it."""
+    left, right = ends or _integer_endpoints(rep)
     if len(left) != g.n:
         return RepresentationVerdict(False, f"{len(left)} intervals for {g.n} vertices")
     for v, (l, r) in enumerate(zip(left, right)):
@@ -208,12 +190,6 @@ def _verdict(g: Graph, left: list[int], right: list[int]) -> RepresentationVerdi
     u, v = min(meets.symmetric_difference(g.edges))
     kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
     return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
-
-
-def validate_representation(g: Graph, rep: IntervalRepresentation) -> RepresentationVerdict:
-    """Endpoints distinct, l < r per interval, and intersections match g;
-    a mismatch names the lexicographically smallest mismatched pair."""
-    return _verdict(g, *_integer_endpoints(rep))
 
 
 def graph_from_representation(rep: IntervalRepresentation) -> Graph:
@@ -240,7 +216,7 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
     the globally rightmost interval depend on the variant.
     """
     left, right = _integer_endpoints(rep)
-    verdict = _verdict(g, left, right)
+    verdict = validate_representation(g, rep, (left, right))
     if not verdict.ok:
         raise ValueError(f"invalid interval representation: {verdict.reason}")
     if g.n < (1 if variant == VARIANT_CN else 2) or not is_connected(g):

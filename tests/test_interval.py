@@ -15,7 +15,6 @@ from cfcolor.interval import (
     IntervalRepresentation,
     RepresentationVerdict,
     _integer_endpoints,
-    _intersecting_pairs,
     _meets_exactly,
     cfcn_interval,
     cfon_interval,
@@ -214,29 +213,9 @@ def test_sweep_matches_pairwise_reference(n, seed):
         assert validate_representation(graph, rep) == _pairwise_verdict(graph, rep)
 
 
-def _pair_set_verdict(g, rep):
-    """Reference: every intersecting pair built as a set, on the
-    rational endpoints themselves, and compared with g's edges."""
-    if rep.n != g.n:
-        return RepresentationVerdict(False, f"{rep.n} intervals for {g.n} vertices")
-    left, right = [l for l, _ in rep.intervals], [r for _, r in rep.intervals]
-    for v, (l, r) in enumerate(rep.intervals):
-        if not l < r:
-            return RepresentationVerdict(False, f"interval of vertex {v} has l >= r")
-    if len(set(left + right)) != 2 * g.n:
-        return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
-    meets = _intersecting_pairs(left, right)
-    mismatched = meets.symmetric_difference(g.edges)
-    if not mismatched:
-        return RepresentationVerdict(True)
-    u, v = min(mismatched)
-    kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
-    return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
-
-
 @given(st.integers(1, 30), st.integers(0, 10**6))
 @settings(max_examples=120, deadline=None)
-def test_counting_check_matches_pair_sets(n, seed):
+def test_counting_check_matches_pairwise_reference(n, seed):
     # valid representations with integer and with rational endpoints,
     # each with one endpoint moved, against the graph and the graph
     # with one edge removed or added
@@ -251,7 +230,7 @@ def test_counting_check_matches_pair_sets(n, seed):
         reps.append(IntervalRepresentation(tuple(map(tuple, intervals))))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for rep in reps:
-        truth = graph_from_representation(rep)
+        truth = _pairwise_graph(rep)
         edges, non_edges = list(truth.edges), [p for p in pairs if not truth.has_edge(*p)]
         graphs = [truth, g]
         if edges:
@@ -260,7 +239,7 @@ def test_counting_check_matches_pair_sets(n, seed):
         if non_edges:
             graphs.append(Graph(n, edges + [rng.choice(non_edges)]))
         for graph in graphs:
-            want = _pair_set_verdict(graph, rep)
+            want = _pairwise_verdict(graph, rep)
             assert validate_representation(graph, rep) == want
             if want.ok or want.pair:
                 assert _meets_exactly(graph, *_integer_endpoints(rep)) == want.ok
