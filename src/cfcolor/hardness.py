@@ -16,6 +16,12 @@ it sits in.  For k >= 3 the equivalence makes the distinct-color
 optimization on split graphs as hard as graph coloring — in contrast to
 the closed-neighborhood variant, which on split graphs reduces to a
 polynomial 2-versus-3 test.
+
+Layout: source vertices keep their ids 0..n-1, x is n, y is n + 1, and
+the G'-edges take the ids from n + 2 up in lexicographic order.  In G' a
+source vertex has its own neighbours plus x and y, x has 0..n-1 and y, y
+has 0..n.  In H a clique vertex has the other clique vertices and then
+its edge vertices in id order, and the edge vertex I_uv has (u, v).
 """
 
 from __future__ import annotations
@@ -56,34 +62,27 @@ def _check_source(g: Graph, k: int) -> None:
 def encode(g: Graph, k: int) -> GadgetInstance:
     """Build the gadget for `is G properly k-colorable` (k >= 3).
 
-    Vertex numbering is deterministic: source vertices keep their ids,
-    then x, then y, then one vertex per G'-edge in sorted edge order.
-    """
+    Source vertices keep their ids, then come x, y and one slot per
+    G'-edge in lexicographic order (`pair_of`, read off the tuples of
+    G').  The neighbour tuples of G' and H are written directly, sorted,
+    symmetric and loop-free by this layout (see the module docstring),
+    so neither graph goes through the validating constructor."""
     _check_source(g, k)
     n = g.n
     x, y = n, n + 1
-    prime_edges = sorted(
-        list(g.edges)
-        + [(v, x) for v in range(n)]
-        + [(v, y) for v in range(n)]
-        + [(x, y)]
-    )
-    gprime = Graph(n + 2, prime_edges)
-    clique = tuple(range(n + 2))
-    independent = tuple(range(n + 2, n + 2 + len(prime_edges)))
-    edges = [(u, v) for u in clique for v in clique if u < v]
-    for slot, (u, v) in zip(independent, prime_edges):
-        edges.append((u, slot))
-        edges.append((v, slot))
-    return GadgetInstance(
-        g,
-        k,
-        gprime,
-        Graph(n + 2 + len(prime_edges), edges),
-        clique,
-        independent,
-        tuple(prime_edges),
-    )
+    below = tuple(range(n))
+    gprime = Graph._trusted(
+        tuple(g.neighbors(v) + (x, y) for v in below) + (below + (y,), below + (x,)))
+    pair_of = gprime.edges
+    clique = below + (x, y)
+    independent = tuple(range(n + 2, n + 2 + len(pair_of)))
+    slots: list[list[int]] = [[] for _ in clique]
+    for slot, (u, v) in zip(independent, pair_of):
+        slots[u].append(slot)
+        slots[v].append(slot)
+    adj = tuple(clique[:u] + clique[u + 1:] + tuple(s) for u, s in enumerate(slots))
+    return GadgetInstance(g, k, gprime, Graph._trusted(adj + pair_of),
+                          clique, independent, pair_of)
 
 
 def forward_coloring(inst: GadgetInstance, source: Coloring) -> Coloring:

@@ -160,9 +160,13 @@ def find_unique_coloring(
 ) -> list[int] | None:
     """Some k-coloring where every constraint set has a unique color, or
     None when there is none.  Empty constraint sets make the instance
-    infeasible; vertices in no set get color 0."""
+    infeasible; vertices in no set get color 0.  With one color, a set
+    has a unique color only when it has one distinct member, so k = 1 is
+    decided without a search."""
     if k <= 0:
         return None if n or constraints else []
+    if k == 1:
+        return [0] * n if all(len(set(s)) == 1 for s in constraints) else None
     return _search(k, constraints, *_search_order(n, constraints))
 
 

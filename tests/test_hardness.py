@@ -1,5 +1,7 @@
 """Split-gadget reduction: proper k-colorability vs CF-ON k+2 colors."""
 
+import hashlib
+
 import pytest
 
 from cfcolor import coloring as coloring_module
@@ -17,6 +19,7 @@ from cfcolor.hardness import (
     forward_coloring,
     properly_colorable,
 )
+from strategies import labeled_graphs
 
 K1 = Graph(1, [])
 K2 = Graph(2, [(0, 1)])
@@ -58,6 +61,32 @@ def test_gadget_is_split_with_clique_gprime(g):
     assert ok
     assert sorted(part.clique) == list(inst.clique)
     assert sorted(part.independent) == list(inst.independent)
+
+
+def test_encode_matches_edge_list_construction():
+    # the neighbour tuples `encode` writes against the validating
+    # constructor on the documented layout: G' is the source plus x, y
+    # joined to everything, H the clique on V(G') plus one slot per
+    # G'-edge (lexicographic order) joined to its two endpoints
+    for g in labeled_graphs(5):
+        n = g.n
+        x, y = n, n + 1
+        prime_edges = sorted([*g.edges, *((v, x) for v in range(n)),
+                              *((v, y) for v in range(n)), (x, y)])
+        slots = range(n + 2, n + 2 + len(prime_edges))
+        edges = [(u, v) for u in range(n + 2) for v in range(u + 1, n + 2)]
+        edges += [(u, s) for s, pair in zip(slots, prime_edges) for u in pair]
+        for k in (3, 4):
+            inst = encode(g, k)
+            assert inst.pair_of == tuple(prime_edges)
+            assert inst.gprime == Graph(n + 2, inst.pair_of)
+            assert inst.graph == Graph(n + 2 + len(prime_edges), edges)
+            assert (inst.clique, inst.independent) == (tuple(range(n + 2)), tuple(slots))
+            for h in (inst.gprime, inst.graph):
+                for v in range(h.n):
+                    nb = h.neighbors(v)
+                    assert list(nb) == sorted(set(nb)) and v not in nb
+                    assert all(v in h.neighbors(u) for u in nb)
 
 
 def test_encode_errors():
@@ -217,14 +246,20 @@ def test_oracle_witness_decodes_k2():
 
 def test_cross_validate_all_graphs_up_to_five():
     # beyond the acceptance sweep: disconnected sources included, guard
-    # lifted; every gadget decision still mirrors 3-colorability
+    # lifted; every gadget decision still mirrors 3-colorability.  The
+    # sha256 over repr((source_yes, gadget_yes, decoded colors)) pins
+    # the witnesses: they depend on H's vertex numbering
     from cfcolor.generators import _levels_up_to, _plain_levels
 
     _levels_up_to(5, None, _plain_levels)
+    h = hashlib.sha256()
     count = 0
     for n in range(1, 6):
         for g in _plain_levels[n]:
             rep = cross_validate(g, 3, limit=None)
             assert rep.match, (n, g.edges)
+            decoded = rep.decoded.colors if rep.decoded else None
+            h.update(repr((rep.source_yes, rep.gadget_yes, decoded)).encode())
             count += 1
     assert count == 52
+    assert h.hexdigest() == "349762b1261b06c291c06143bad21b03bd9770913c1ece656cb1c3fb44618fea"

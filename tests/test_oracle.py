@@ -273,6 +273,28 @@ def test_find_unique_coloring_matches_counting_search(family):
     assert find_unique_coloring(n, sets, k) == counting_find_unique_coloring(n, sets, k)
 
 
+@st.composite
+def multiset_families(draw, max_n=6, max_sets=6):
+    """Sets with repeated members, empty sets and vertices in no set,
+    on 0..max_n vertices."""
+    n = draw(st.integers(0, max_n))
+    members = st.lists(st.integers(0, n - 1), max_size=4) if n else st.just([])
+    return n, draw(st.lists(members, max_size=max_sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multiset_families())
+@example((0, []))
+@example((0, [[]]))
+@example((3, [[1, 1], [2, 2, 2]]))
+@example((3, [[1, 1], [0, 2]]))
+def test_one_color_matches_search(family):
+    # k = 1 is decided without a search; the search gives the same answer
+    n, sets = family
+    searched = oracle._search(1, sets, *oracle._search_order(n, sets))
+    assert find_unique_coloring(n, sets, 1) == searched
+
+
 def test_exact_witnesses_pinned():
     # sha256 over repr((chromatic, witness colors)) of exact_cf on 440
     # seeded G(n, p) graphs, n 6-16, p 0.3 and 0.5, both variants; the
