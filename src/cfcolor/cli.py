@@ -14,6 +14,15 @@ written.  Exit codes are uniform across subcommands:
     5  any other exception (an internal defect); the `error:` line
        names its type and message
 
+Every artifact goes through `_emit`, which overwrites the old file in
+place and then cuts it to the new length: the bytes, inode, mode and
+mtime are those `Path.write_text` leaves, but the old blocks are not
+freed first.  A process killed mid-write can leave old bytes after the
+new ones; when the old file was longer, as an artifact of a larger
+graph is, the readers reject them as a format error.  `--out` must end
+in a file name: `.`, `..` and `/` are refused by the parser, exit 2,
+before the input is read.
+
 `solve` goes through one ordered table of constructive strategies.  An
 entry is (the refusal under --variant on, or None when it handles on;
 an applicability test returning (ok, certificate); the refusal when the
@@ -47,6 +56,7 @@ import argparse
 import functools
 import hashlib
 import io
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -127,7 +137,12 @@ def _load_graph(path_str: str, report: RunReport) -> Graph:
 
 
 def _emit(path: Path, text: str, report: RunReport, key: str) -> None:
-    path.write_text(text)
+    """Write `text` as `Path.write_text` would, but over the old bytes
+    and then cut to the new length: an open with O_TRUNC frees the old
+    blocks, and ext4 then flushes the new data on close."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        f.truncate()
     report.add(key, str(path))
 
 
@@ -142,6 +157,14 @@ def _infeasible(report: RunReport, key: str = "result", value: str = "infeasible
     report.add(key, value)
     report.add("reason", INFEASIBLE)
     return 1
+
+
+def _out_stem(value: str) -> str:
+    """The --out value, once its last component is a file name: `.`,
+    `..` and `/` would leave no artifact name to add a suffix to."""
+    if Path(value).name in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"must end in a file name, got {value!r}")
+    return value
 
 
 def _stem(args) -> Path:
@@ -494,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
                            help="exhaustive-search vertex guard; <= 0 disables")
         if out:
-            p.add_argument("--out", help="artifact path stem (default: input stem)")
+            p.add_argument("--out", type=_out_stem,
+                           help="artifact path stem (default: input stem)")
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
     common(p)
@@ -555,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--d", type=int, help="modulator size for *-modulator classes")
     p.add_argument("--cliques", help="explicit clique sizes, e.g. 3,1,2 (cluster)")
-    p.add_argument("--out", help="artifact path stem (default: <class>-n<n>-s<seed>)")
+    p.add_argument("--out", type=_out_stem,
+                   help="artifact path stem (default: <class>-n<n>-s<seed>)")
     p.set_defaults(func=_cmd_gen)
 
     return parser

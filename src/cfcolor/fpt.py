@@ -92,15 +92,6 @@ def provenance(inst: KernelInstance) -> list[str]:
     return lines
 
 
-def _check_modulator(
-    g: Graph, m: Modulator, expected: str
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Sorted X and the components of G-X, for a nonempty g."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    return _residual(g, m, expected)
-
-
 def _type_masks(g: Graph, x: tuple[int, ...]) -> list[int]:
     """mask[v] has bit i set iff v is adjacent to x[i]: built from X's
     side, so it costs the degrees of X rather than of the whole graph."""
@@ -139,7 +130,7 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
     class are true twins in g, which is what both reduction rules
     exploit.
     """
-    return _types(g, *_check_modulator(g, m, "cluster"))
+    return _types(g, *_residual(g, m, "cluster"))
 
 
 def _types(
@@ -163,7 +154,7 @@ def _types(
 def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
     """The kernel of (g, k) for the cluster modulator m under `variant`,
     or a short-circuit witness when k reaches the lemma1 bound."""
-    x, cliques = _check_modulator(g, m, "cluster")
+    x, cliques = _residual(g, m, "cluster")
     if k < 1:
         raise ValueError("need k >= 1")
     require_feasible(g, variant)
@@ -322,7 +313,9 @@ def _component_universal(g: Graph, comp: tuple[int, ...], mask: list[int]) -> in
 def _threshold_base(g: Graph, variant: str) -> SolveOutcome:
     """The modulator-free case: the graph itself is threshold."""
     colors = [0] * g.n
-    if variant == VARIANT_CN and g.m == 0:
+    # edgeless: all 0 is exact under cn (no color at all when n == 0), and
+    # under on feasibility leaves only the empty graph
+    if g.m == 0:
         return checked_outcome(Coloring(g, tuple(colors)), variant, EXACT)
     u = min(range(g.n), key=lambda v: (-g.degree(v), v))
     colors[u] = 1
@@ -335,7 +328,7 @@ def _threshold_base(g: Graph, variant: str) -> SolveOutcome:
 
 
 def _approx(g: Graph, m: Modulator, variant: str) -> SolveOutcome:
-    x, comps = _check_modulator(g, m, "threshold")
+    x, comps = _residual(g, m, "threshold")
     require_feasible(g, variant)
     if not x:
         return _threshold_base(g, variant)

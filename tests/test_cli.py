@@ -12,12 +12,12 @@ import pytest
 
 import cfcolor
 from cfcolor.cli import build_parser, dispatch
-from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify
+from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify, write_coloring
 from cfcolor.fpt import kernelize, provenance
 from cfcolor.generators import enumerate_small, random_graph, random_split, random_threshold
 from cfcolor.graph import Graph, parse_graph, write_graph
 from cfcolor.graphclasses import Modulator, is_bipartite, is_cograph, is_split
-from cfcolor.polysolve import SolveOutcome
+from cfcolor.polysolve import SolveOutcome, solve_split_cfcn
 
 from strategies import modulator_pin_graphs, stack_depth
 
@@ -546,6 +546,123 @@ def test_gen_missing_d(tmp_path, capsys):
 def test_gen_refuses_empty(klass, capsys):
     code, pairs, _ = run(capsys, "gen", "--class", klass, "--n", "0", "--seed", "1")
     assert code == 2 and pairs["error"] == "need n >= 1"
+
+
+# --- artifact writes ---------------------------------------------------------
+
+_ARTIFACT = "v 0 1\nv 1 0\nv 2 0\n"
+
+
+@pytest.mark.parametrize("old", [_ARTIFACT * 3, _ARTIFACT[:6], _ARTIFACT.upper(), None],
+                         ids=["longer", "shorter", "same-length", "absent"])
+def test_emit_rewrites_in_place(tmp_path, monkeypatch, old):
+    # `_emit` leaves the bytes `Path.write_text` leaves, keeps the inode
+    # of the file it rewrites, creates with write_text's mode, and never
+    # opens with O_TRUNC, whose freeing of the old blocks is its cost
+    import cfcolor.cli as cli
+
+    path, sibling = tmp_path / "g.cn.col", tmp_path / "sibling.col"
+    flags = []
+
+    def recording_open(file, flag, *rest):
+        flags.append(flag)
+        return real_open(file, flag, *rest)
+
+    real_open = os.open
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    umask = os.umask(0o027)
+    try:
+        if old is not None:
+            path.write_text(old)
+            sibling.write_text(old)
+        inode = path.stat().st_ino if old is not None else None
+        report = cli.RunReport()
+        cli._emit(path, _ARTIFACT, report, "coloring_file")
+        sibling.write_text(_ARTIFACT)
+    finally:
+        os.umask(umask)
+    assert path.read_bytes() == sibling.read_bytes() == _ARTIFACT.encode()
+    assert report.lines == [("coloring_file", str(path))]
+    assert inode in (None, path.stat().st_ino)
+    assert path.stat().st_mode == sibling.stat().st_mode
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+
+def test_emit_errors_pinned(tmp_path, capsys, monkeypatch):
+    # a missing directory and a directory at the artifact path exit 2
+    # with the error lines `Path.write_text` gave
+    monkeypatch.chdir(tmp_path)
+    put(tmp_path, "g.cf", P4)
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--out", "nodir/x", "g.cf")
+    assert (code, pairs["error"]) == (2, "[Errno 2] No such file or directory: 'nodir/x.cn.col'")
+    (tmp_path / "g.cn.col").mkdir()
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "g.cf")
+    assert (code, pairs["error"]) == (2, "[Errno 21] Is a directory: 'g.cn.col'")
+
+
+def test_gen_rewrite_shrinks_artifacts(tmp_path, capsys):
+    out = str(tmp_path / "s")
+    for n in ("10", "5"):
+        code, _, _ = run(capsys, "gen", "--class", "threshold", "--n", n, "--seed", "1",
+                         "--out", out)
+        assert code == 0
+    assert (tmp_path / "s.cf").read_text() == write_graph(random_threshold(5, 1)[0])
+    assert len((tmp_path / "s.cert").read_text().splitlines()) == 5
+
+
+def test_solve_rewrite_with_another_strategy(tmp_path, capsys):
+    # the artifact name does not carry the strategy, so the second solve
+    # rewrites the first one's coloring, which differs from its own
+    g = put(tmp_path, "k3.cf", K3)
+    run(capsys, "solve", "--variant", "cn", "--strategy", "oracle", g)
+    first = (tmp_path / "k3.cn.col").read_text()
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "auto", g)
+    assert code == 0 and pairs["strategy"] == "split"
+    k3 = parse_graph(K3)
+    want = solve_split_cfcn(k3, is_split(k3)[1]).coloring
+    assert write_coloring(want) != first
+    assert parse_coloring((tmp_path / "k3.cn.col").read_text(), k3) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--variant", "cn"],
+    ["oracle", "--variant", "cn"],
+    ["kernelize", "--variant", "cn", "--k", "2"],
+    ["gadget", "encode", "--k", "3"],
+    ["gen", "--class", "split", "--n", "4", "--seed", "1"],
+], ids=["solve", "oracle", "kernelize", "gadget-encode", "gen"])
+def test_out_without_file_name_refused(tmp_path, capsys, monkeypatch, argv):
+    # refused by the parser, before the input is read or anything is
+    # written; `..` once wrote a hidden `...cn.col` here
+    monkeypatch.chdir(tmp_path)
+    graph = [] if argv[0] == "gen" else [put(tmp_path, "p4.cf", P4)]
+    for out in (".", "/", "..", "a/.."):
+        assert dispatch([*argv, "--out", out, *graph]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --out: must end in a file name, got {out!r}" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == [Path(p).name for p in graph]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["solve", "--variant", "cn", "--strategy", "approx"],
+     {"strategy": "approx", "colors_used": "0", "optimality": "exact"}),
+    (["solve", "--variant", "on", "--strategy", "approx"],
+     {"strategy": "approx", "colors_used": "0", "optimality": "exact"}),
+    (["solve", "--variant", "cn", "--strategy", "fpt", "--k", "1"],
+     {"strategy": "fpt", "decision": "yes", "colors_used": "0"}),
+    (["solve", "--variant", "on", "--strategy", "fpt", "--k", "1"],
+     {"strategy": "fpt", "decision": "yes", "colors_used": "0"}),
+    (["kernelize", "--variant", "cn", "--k", "1"],
+     {"kernel_vertices": "0", "kernel_edges": "0", "short_circuit": "no"}),
+    (["kernelize", "--variant", "on", "--k", "1"],
+     {"kernel_vertices": "0", "kernel_edges": "0", "short_circuit": "no"}),
+])
+def test_empty_graph_answered(tmp_path, capsys, argv, want):
+    # `p cf 0 0` gets the outcome lemma1, cograph and the oracle give it
+    code, pairs, _ = run(capsys, *argv, put(tmp_path, "empty.cf", "p cf 0 0\n"))
+    assert code == 0 and "error" not in pairs
+    assert {key: pairs.get(key) for key in want} == want
 
 
 def _hash_run(h, capsys, argv):

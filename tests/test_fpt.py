@@ -159,8 +159,24 @@ def test_reduce_errors():
         kernelize(P4, Modulator((), "cluster"), 1, VARIANT_CN)
     with pytest.raises(ValueError, match="isolated"):
         kernelize(Graph(2, []), Modulator((), "cluster"), 1, VARIANT_ON)
-    with pytest.raises(ValueError, match="empty graph"):
-        kernelize(Graph(0), Modulator((), "cluster"), 1, VARIANT_CN)
+    # the empty graph is no error: its kernel is itself, with no deletions
+    empty = Graph(0)
+    inst = kernelize(empty, Modulator((), "cluster"), 1, VARIANT_CN)
+    assert (inst.graph, inst.short_circuit, inst.deleted_vertices, inst.deleted_cliques) == (
+        empty, None, (), ())
+
+
+@pytest.mark.parametrize("variant", [VARIANT_CN, VARIANT_ON])
+def test_empty_graph_outcomes(variant):
+    # the empty graph is answered as lemma1, cograph and the oracle answer
+    # it: 0 colors, exact, and a yes decision with the empty coloring
+    empty = Graph(0)
+    approx = approx_cfcn_threshold if variant == VARIANT_CN else approx_cfon_threshold
+    outcome = approx(empty, Modulator((), "threshold"))
+    assert (outcome.coloring.colors, outcome.colors_used, outcome.optimality) == ((), 0, "exact")
+    for k in (1, 2, 4):
+        decision = solve_via_kernel(empty, Modulator((), "cluster"), k, variant)
+        assert decision.yes and decision.witness.colors == ()
 
 
 # --- kernel decisions ------------------------------------------------------
@@ -268,7 +284,7 @@ def test_approx_two_residual_edges_raise(monkeypatch):
     import cfcolor.fpt as fpt
 
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
-    monkeypatch.setattr(fpt, "_check_modulator",
+    monkeypatch.setattr(fpt, "_residual",
                         lambda g, m, expected: ((0,), [(1, 2), (3, 4)]))
     for approx in (approx_cfcn_threshold, approx_cfon_threshold):
         with pytest.raises(SelfCheckError, match="2 components with an edge"):
