@@ -182,7 +182,7 @@ def verify(coloring: Coloring, variant: str) -> VerifyResult:
 def feasible(g: Graph, variant: str) -> bool:
     """Whether some coloring of g is conflict-free under `variant`:
     always under cn, and under on iff no vertex is isolated."""
-    return variant != VARIANT_ON or all(map(g.degree, range(g.n)))
+    return variant != VARIANT_ON or not g.has_isolated_vertex()
 
 
 def require_feasible(g: Graph, variant: str) -> None:

@@ -18,6 +18,13 @@ by the cap's pigeonhole always exists.  When neither rule deletes a
 vertex, the kernel is the graph itself: its witness needs no lift, and
 the oracle's check of it is the only one.
 
+The (clique, Y) classes are built once, from X's adjacency masks, and
+carried on the kernel.  Rule 1 caps them, the lift reads the kept
+members of each class from them, and the search gets the kept classes
+of two or more, which are true twins of the kernel graph, so that it
+tries one order of colors per class (the lex-leader break in `oracle`)
+and still returns the witness it would return without them.
+
 Approximation (threshold modulator X).  Only the modulator's own
 neighborhood constraints plus those of singleton residual components are
 solved exactly — on the subgraph spanned by X and N(X) with same-class
@@ -37,6 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import Sequence
 
 from .graph import Graph, induced_subgraph
 from .coloring import (EXACT, UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SelfCheckError,
@@ -62,6 +70,9 @@ def kernel_size_bound(d: int, k: int, variant: str) -> int:
     return d + (cap + 1) ** (2**d) * (d + 1) * (2**d) * cap
 
 
+Classes = tuple[tuple[int, tuple[int, ...]], ...]  # (Y, members) pairs, Y increasing
+
+
 @dataclass(frozen=True)
 class KernelInstance:
     graph: Graph
@@ -73,6 +84,8 @@ class KernelInstance:
     deleted_cliques: tuple[tuple[int, int], ...]  # (clique rep, survivor rep)
     cliques_after_rule1: tuple[tuple[int, ...], ...]  # original ids
     tau: tuple[tuple[int, MegaType], ...]  # clique rep -> capped type counts
+    classes: tuple[Classes, ...] = ()  # per clique after Rule 1, its kept classes
+    twins: tuple[tuple[int, ...], ...] = ()  # kernel ids of the kernel's classes of 2+
     short_circuit: SolveOutcome | None = None
 
 
@@ -113,7 +126,7 @@ class CliqueTypes:
     """
 
     clique: tuple[int, ...]
-    types: tuple[tuple[int, tuple[int, ...]], ...]
+    types: Classes
 
     def vector(self, cap: int | None = None) -> MegaType:
         """Per-type member counts, each clamped to ``cap`` when given."""
@@ -130,25 +143,21 @@ def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
     class are true twins in g, which is what both reduction rules
     exploit.
     """
-    return _types(g, *_residual(g, m, "cluster"))
+    x, cliques = _residual(g, m, "cluster")
+    return tuple(map(CliqueTypes, cliques, _types(g, x, cliques)))
 
 
-def _types(
-    g: Graph, x: tuple[int, ...], cliques: list[tuple[int, ...]]
-) -> tuple[CliqueTypes, ...]:
+def _types(g: Graph, x: tuple[int, ...], cliques: list[tuple[int, ...]]) -> list[Classes]:
+    """Each clique's classes: the classifier behind `compute_types`,
+    Rule 1, the lift and the search's twin classes."""
     mask = _type_masks(g, x)
     out = []
     for clique in cliques:
         by_type: dict[int, list[int]] = {}
         for v in clique:  # clique is sorted, so classes stay sorted
             by_type.setdefault(mask[v], []).append(v)
-        out.append(
-            CliqueTypes(
-                clique,
-                tuple((y, tuple(vs)) for y, vs in sorted(by_type.items())),
-            )
-        )
-    return tuple(out)
+        out.append(tuple((y, tuple(vs)) for y, vs in sorted(by_type.items())))
+    return out
 
 
 def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
@@ -168,34 +177,42 @@ def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
                 Graph(0), (), k, variant, (), (), (), (), (), short_circuit=sc
             )
 
-    types = _types(g, x, cliques)
     cap = rule1_cap(k, variant)
     deleted_vertices: list[tuple[int, int, int]] = []
     post1: list[tuple[int, ...]] = []
+    classes: list[Classes] = []
     tau: list[tuple[int, MegaType]] = []
-    groups: dict[MegaType, list[tuple[int, ...]]] = {}
-    for ct in types:
-        keep: list[int] = []
-        for y, members in ct.types:
-            keep.extend(members[:cap])
-            deleted_vertices.extend((v, ct.clique[0], y) for v in members[cap:])
-        clique = tuple(sorted(keep))
+    groups: dict[MegaType, list[int]] = {}  # mega-type -> indices into post1
+    for clique, types in zip(cliques, _types(g, x, cliques)):
+        rep = clique[0]  # the smallest member of its class, so never dropped
+        if len(clique) > cap and any(len(vs) > cap for _, vs in types):
+            for y, vs in types:
+                deleted_vertices.extend((v, rep, y) for v in vs[cap:])
+            types = tuple((y, vs[:cap]) for y, vs in types)
+            clique = tuple(sorted(v for _, vs in types for v in vs))
+        mt = tuple((y, len(vs)) for y, vs in types)  # the kept clique's per-type counts
+        groups.setdefault(mt, []).append(len(post1))
         post1.append(clique)
-        mt = ct.vector(cap)  # the kept clique's per-type counts
-        tau.append((clique[0], mt))
-        groups.setdefault(mt, []).append(clique)
+        classes.append(types)
+        tau.append((rep, mt))
 
     deleted_cliques: list[tuple[int, int]] = []
-    kept_cliques: list[tuple[int, ...]] = []
+    kept_cliques: list[int] = []
     for group in groups.values():  # groups arrive ordered by first clique rep
         kept_cliques.extend(group[: d + 1])
-        deleted_cliques.extend((c[0], group[0][0]) for c in group[d + 1 :])
+        deleted_cliques.extend((post1[i][0], post1[group[0]][0]) for i in group[d + 1 :])
 
-    kept = tuple(sorted(set(x) | {v for c in kept_cliques for v in c}))
-    kernel, relabel = induced_subgraph(g, kept)
+    twins = tuple(vs for i in kept_cliques for _, vs in classes[i] if len(vs) > 1)
+    if deleted_vertices or deleted_cliques:
+        kept = tuple(sorted(set(x) | {v for i in kept_cliques for v in post1[i]}))
+        kernel, relabel = induced_subgraph(g, kept)
+        kernel_x = tuple(map(relabel.__getitem__, x))
+        twins = tuple(tuple(map(relabel.__getitem__, vs)) for vs in twins)
+    else:  # neither rule deleted a vertex: the kernel is g itself, in g's ids
+        kept, kernel, kernel_x = tuple(range(g.n)), g, x
     return KernelInstance(
         kernel,
-        tuple(relabel[xv] for xv in x),
+        kernel_x,
         k,
         variant,
         kept,
@@ -203,10 +220,12 @@ def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
         tuple(deleted_cliques),
         tuple(post1),
         tuple(tau),
+        tuple(classes),
+        twins,
     )
 
 
-def _fill_twins(colors: list[int] | dict[int, int], kept: list[int], dropped: list[int],
+def _fill_twins(colors: list[int], kept: Sequence[int], dropped: Sequence[int],
                 need: int) -> None:
     """Give every dropped true twin the smallest color that at least
     `need` of its kept twins share; the cap that kept them makes one
@@ -225,14 +244,12 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
     a kernel that is g itself needs no extension."""
     if inst.graph is g:
         return kernel_coloring
-    mask = _type_masks(g, tuple(inst.kept[i] for i in inst.x))
-    colors: dict[int, int] = {
-        orig: kernel_coloring.colors[i] for i, orig in enumerate(inst.kept)
-    }
-    post1_by_rep = {c[0]: c for c in inst.cliques_after_rule1}
+    colors = [0] * g.n
+    for orig, c in zip(inst.kept, kernel_coloring.colors):
+        colors[orig] = c
+    reps = [c[0] for c in inst.cliques_after_rule1]
+    classes_of = dict(zip(reps, inst.classes))
     tau_by_rep = dict(inst.tau)
-    deleted_reps = {rep for rep, _ in inst.deleted_cliques}
-    kept_reps = [c[0] for c in inst.cliques_after_rule1 if c[0] not in deleted_reps]
 
     # cliques providing the unique color of some modulator neighborhood
     # must not be copied; at most d are marked, and d+1 survivors of each
@@ -250,25 +267,24 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
         if orig in rep_of_vertex:
             marked.add(rep_of_vertex[orig])
 
-    def class_members(rep: int, y: int) -> list[int]:
-        return [v for v in post1_by_rep[rep] if mask[v] == y]
-
+    deleted_reps = {rep for rep, _ in inst.deleted_cliques}
+    survivor: dict[MegaType, int] = {}  # the first unmarked kept clique per mega-type
+    for rep in reps:
+        if rep not in deleted_reps and rep not in marked:
+            survivor.setdefault(tau_by_rep[rep], rep)
     for rep, _srep in inst.deleted_cliques:
-        mt = tau_by_rep[rep]
-        survivor = next(
-            r for r in kept_reps if tau_by_rep[r] == mt and r not in marked
-        )
-        for y, _count in mt:
-            for dv, sv in zip(class_members(rep, y), class_members(survivor, y)):
+        kept_classes = classes_of[survivor[tau_by_rep[rep]]]
+        for (_, dvs), (_, svs) in zip(classes_of[rep], kept_classes):
+            for dv, sv in zip(dvs, svs):
                 colors[dv] = colors[sv]
 
     # a twin is in its own N[v] but not in its N(v), so under on a color
     # must be tripled among the kept twins to stay repeated in each of them
     need = 2 if inst.variant == VARIANT_CN else 3
     for (rep, y), dropped in groupby(inst.deleted_vertices, key=itemgetter(1, 2)):
-        _fill_twins(colors, class_members(rep, y), [v for v, _, _ in dropped], need)
+        _fill_twins(colors, dict(classes_of[rep])[y], [v for v, _, _ in dropped], need)
 
-    return Coloring(g, tuple(colors[v] for v in range(g.n)))
+    return Coloring(g, tuple(colors))
 
 
 def solve_via_kernel(
@@ -278,7 +294,9 @@ def solve_via_kernel(
     variant: str,
     limit: int | None = DEFAULT_LIMIT,
 ) -> KernelDecision:
-    """Decide k-colorability through the kernel and lift any witness."""
+    """Decide k-colorability through the kernel and lift any witness.
+    The search colors each twin class of the kernel in order, as
+    `oracle` describes; that changes no answer and no witness."""
     inst = kernelize(g, m, k, variant)
     if inst.short_circuit is not None:
         return KernelDecision(
@@ -287,13 +305,15 @@ def solve_via_kernel(
             inst,
             note="threshold on k met; constructive witness",
         )
-    yes, kernel_witness = decide_cf(inst.graph, variant, k, limit=limit)
+    yes, kernel_witness = decide_cf(inst.graph, variant, k, limit=limit, twins=inst.twins)
     if not yes:
         return KernelDecision(False, None, inst, note="kernel infeasible")
     lifted = checked(_lift(g, inst, kernel_witness), variant, "the lifted coloring's check")
     if lifted.num_colors > k:
         raise SelfCheckError("lifted coloring exceeds the color budget")
-    return KernelDecision(True, lifted, inst, note="lifted kernel witness")
+    note = ("kernel is the whole graph; witness not lifted" if inst.graph is g
+            else "lifted kernel witness")
+    return KernelDecision(True, lifted, inst, note=note)
 
 
 # --- threshold-modulator approximation -------------------------------------

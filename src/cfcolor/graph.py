@@ -110,6 +110,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
+    def has_isolated_vertex(self) -> bool:
+        """Whether some vertex has no neighbour: one C-level scan."""
+        return () in self._adj
+
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n):
             return False

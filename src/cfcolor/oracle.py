@@ -9,6 +9,20 @@ together in the order, so most constraints complete early in the search
 tree.  The usual symmetry break applies along that order: the i-th
 vertex may only use colors 0..min(max_used+1, k-1).
 
+A caller may also pass twin classes: disjoint vertex sets such that
+swapping any two members of a class maps the family of constraint sets
+onto itself.  Swapping two twins of a graph (equal N[v], or equal N(v))
+is an automorphism, so it does so for both neighborhood families.  Along
+the order, each class member then starts at the color of the class's
+previous member, never below it: the lex-leader condition for those
+swaps (Crawford, Ginsberg, Luks & Roy, KR 1996).  The depth-first search
+meets colorings in lexicographic order along the search order, so its
+first witness is the least valid coloring.  That one introduces its
+colors in increasing order, and gives no later twin a smaller color than
+an earlier one, because swapping the two would yield a smaller valid
+coloring.  Neither break can thus cut it off: the witness, and every
+answer, is the one the search without them returns.
+
 The search state is two bitmasks per color, bit i standing for
 constraint i: seen[c] holds the constraints that see color c at least
 once, twice[c] those that see it at least twice, so seen[c] ^ twice[c]
@@ -49,13 +63,15 @@ class OracleResult:
 
 
 def _search_order(
-    n: int, constraints: Sequence[Sequence[int]]
-) -> tuple[tuple[list[int], list[int]], list[int]]:
+    n: int, constraints: Sequence[Sequence[int]], twins: Sequence[Sequence[int]] = ()
+) -> tuple[tuple[list[int], list[int], list[int]], list[int]]:
     """The order the search colors the vertices in, and per depth of
     that order two constraint masks (bit i stands for constraint i): the
     constraints of the vertex colored there, and those whose last member
-    it is.  Every constraint is scanned once, so this costs O(sum |S|)
-    updates of m-bit masks plus sorting the n vertices by membership."""
+    it is; then the floor: the depth of the previous member of the
+    vertex's twin class, or n, where the search's colors always read 0.
+    Every constraint is scanned once, so this costs O(sum |S|) updates
+    of m-bit masks plus sorting the n vertices by membership."""
     member_of: list[list[int]] = [[] for _ in range(n)]
     mask_of = [0] * n
     for ci, s in enumerate(constraints):
@@ -64,9 +80,7 @@ def _search_order(
             member_of[v].append(ci)
             mask_of[v] |= bit
 
-    def more_constraints_first(v: int) -> int:
-        return -len(member_of[v])
-
+    more_constraints_first = [-len(m) for m in member_of].__getitem__
     seen = [False] * n
     expanded = [False] * len(constraints)
     order: list[int] = []
@@ -76,7 +90,7 @@ def _search_order(
         seen[root] = True
         head = len(order)
         order.append(root)
-        while head < len(order):  # `order` doubles as the BFS queue
+        while head < len(order) < n:  # `order` is the BFS queue, full at n
             batch = []
             for ci in member_of[order[head]]:
                 if expanded[ci]:
@@ -89,39 +103,46 @@ def _search_order(
             batch.sort(key=more_constraints_first)
             order.extend(batch)
             head += 1
-    masks = [mask_of[v] for v in order]
+    masks = list(map(mask_of.__getitem__, order))
     closes = [0] * n
     later = 0  # the constraints of the vertices deeper than `depth`
     for depth in range(n - 1, -1, -1):
         grown = later | masks[depth]
         closes[depth] = grown ^ later
         later = grown
-    return (masks, closes), order
+    floor = [n] * (n + 1)  # one more depth: the one past the last
+    if twins:
+        depth_of = [0] * n
+        for depth, v in enumerate(order):
+            depth_of[v] = depth
+        for cls in twins:
+            depths = sorted(map(depth_of.__getitem__, cls))
+            for before, after in zip(depths, depths[1:]):
+                floor[after] = before
+    return (masks, closes, floor), order
 
 
 def _search(
     k: int,
     constraints: Sequence[Sequence[int]],
-    prepared: tuple[list[int], list[int]],
+    prepared: tuple[list[int], list[int], list[int]],
     order: list[int],
 ) -> list[int] | None:
     """A k-coloring (k >= 1) giving every constraint a unique color, or
     None."""
     if not all(constraints):
         return None
-    masks, closes = prepared
+    masks, closes, floor = prepared
     seen = [0] * k  # seen[c]: the constraints with color c at least once
     twice = [0] * k  # twice[c]: those with color c at least twice
     n = len(order)
-    colors = [-1] * n  # by depth
+    colors = [0] * (n + 1)  # by depth; slot n, never colored, reads 0
     used = [0] * (n + 1)  # used[i]: distinct colors among the first i vertices
     seen_before = [0] * n  # seen[c] and twice[c] before coloring depth i with c
     twice_before = [0] * n
     depth = 0
+    c = -1  # the color last tried at `depth`
     while depth < n:
-        c = colors[depth]
-        if c >= 0:  # back from a dead subtree: take the old color back
-            seen[c], twice[c] = seen_before[depth], twice_before[depth]
         mask = masks[depth]
         top = min(used[depth], k - 1)
         c += 1
@@ -144,11 +165,13 @@ def _search(
             seen_before[depth], twice_before[depth] = a, b
             used[depth + 1] = max(used[depth], c + 1)
             depth += 1
+            c = colors[floor[depth]] - 1  # fresh: start at the previous twin's color
         else:
-            colors[depth] = -1
             if depth == 0:
                 return None
-            depth -= 1
+            depth -= 1  # back from a dead subtree: take the old color back
+            c = colors[depth]
+            seen[c], twice[c] = seen_before[depth], twice_before[depth]
     witness = [0] * n
     for v, c in zip(order, colors):
         witness[v] = c
@@ -156,18 +179,24 @@ def _search(
 
 
 def find_unique_coloring(
-    n: int, constraints: Sequence[Sequence[int]], k: int
+    n: int, constraints: Sequence[Sequence[int]], k: int,
+    twins: Sequence[Sequence[int]] = (),
 ) -> list[int] | None:
     """Some k-coloring where every constraint set has a unique color, or
     None when there is none.  Empty constraint sets make the instance
     infeasible; vertices in no set get color 0.  With one color, a set
     has a unique color only when it has one distinct member, so k = 1 is
-    decided without a search."""
+    decided without a search.
+
+    `twins` are disjoint classes of interchangeable vertices: swapping
+    any two members of a class must map the family of constraint sets
+    onto itself.  The caller guarantees it; the answer is the one the
+    search without classes returns."""
     if k <= 0:
         return None if n or constraints else []
     if k == 1:
         return [0] * n if all(len(set(s)) == 1 for s in constraints) else None
-    return _search(k, constraints, *_search_order(n, constraints))
+    return _search(k, constraints, *_search_order(n, constraints, twins))
 
 
 def _neighborhood_constraints(g: Graph, variant: str) -> list[tuple[int, ...]]:
@@ -204,9 +233,12 @@ def exact_cf(g: Graph, variant: str, limit: int | None = DEFAULT_LIMIT) -> Oracl
 
 
 def decide_cf(
-    g: Graph, variant: str, k: int, limit: int | None = DEFAULT_LIMIT
+    g: Graph, variant: str, k: int, limit: int | None = DEFAULT_LIMIT,
+    twins: Sequence[Sequence[int]] = (),
 ) -> tuple[bool, Coloring | None]:
-    """Does a conflict-free coloring with at most k distinct colors exist?"""
+    """Does a conflict-free coloring with at most k distinct colors exist?
+    `twins` are classes of true twins (equal N[v]) or of false twins
+    (equal N(v)) of g, as `find_unique_coloring` takes them."""
     _check_guard(g, limit)
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -214,7 +246,7 @@ def decide_cf(
         return False, None
     if g.n == 0:
         return True, Coloring(g, ())
-    colors = find_unique_coloring(g.n, _neighborhood_constraints(g, variant), k)
+    colors = find_unique_coloring(g.n, _neighborhood_constraints(g, variant), k, twins)
     if colors is None:
         return False, None
     return True, checked(Coloring(g, tuple(colors)), variant, "the oracle's witness check")

@@ -20,7 +20,7 @@ answer.  The outcome type and its ``EXACT``/``UPPER_BOUND`` flags live in
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, induced_subgraph
 from .coloring import (EXACT, UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SolveOutcome,
                        checked_outcome, require_feasible)
 from .graphclasses import (
@@ -72,6 +72,12 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     """Exact 2-vs-3 decision for split graphs with an edge; an edgeless
     graph takes one color, and the empty graph none.
 
+    A split graph has at most one component with an edge, since two
+    would induce 2K2.  An isolated vertex v is served by its own color
+    (N[v] = {v}), so beside isolated vertices that component is solved
+    alone, and they take color 0: the graph needs what the component
+    needs.
+
     Case analysis behind the exactness claim (connected, no universal
     vertex): with maximum-clique side C of size >= 3, any valid
     2-coloring must color C monochromatically and the independent side
@@ -111,7 +117,19 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
         raise ValueError("independent side is not independent")
     if g.m == 0:  # every closed neighborhood is the vertex itself
         return checked_outcome(Coloring(g, (0,) * g.n), VARIANT_CN, EXACT)
+    if g.has_isolated_vertex():
+        core = [v for v in range(g.n) if g.degree(v)]
+        inner = _split_with_edge(induced_subgraph(g, core)[0])
+        colors = [0] * g.n
+        for v, c in zip(core, inner.coloring.colors):
+            colors[v] = c
+        return checked_outcome(Coloring(g, tuple(colors)), VARIANT_CN, EXACT, inner.note)
+    return _split_with_edge(g)
 
+
+def _split_with_edge(g: Graph) -> SolveOutcome:
+    """`solve_split_cfcn`'s decision on a split graph with an edge and
+    no isolated vertex, hence connected."""
     if (shortcut := _universal_shortcut(g)) is not None:
         return shortcut
 

@@ -1,6 +1,6 @@
-"""The recognizers and the small-graph enumeration against networkx's
-graph atlas: all 1253 graphs on at most 7 vertices, each class decided
-by an independent definition."""
+"""The recognizers, the small-graph enumeration and the split solver's
+claims against networkx's graph atlas: all 1253 graphs on at most 7
+vertices, each class decided by an independent definition."""
 
 import itertools
 from collections import Counter
@@ -10,6 +10,8 @@ import pytest
 from cfcolor.generators import enumerate_small
 from cfcolor.graph import Graph
 from cfcolor.graphclasses import is_bipartite, is_cluster, is_cograph, is_split, is_threshold
+from cfcolor.oracle import exact_cf
+from cfcolor.polysolve import solve_split_cfcn
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.threshold import is_threshold_graph  # noqa: E402
@@ -46,3 +48,20 @@ def test_enumeration_matches_the_atlas_census():
                         if h.number_of_nodes() and nx.is_connected(h))
     assert [connected[n] for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
     assert [len(enumerate_small(n)) for n in range(1, 8)] == [connected[n] for n in range(1, 8)]
+
+
+def test_split_exact_claims_match_the_oracle_on_the_atlas():
+    # every split graph of the atlas, disconnected ones included: an
+    # `exact` answer must use exactly the oracle's chromatic number
+    split = with_isolated = 0
+    for h in ATLAS:
+        g = Graph(h.number_of_nodes(), h.edges())
+        ok, part = is_split(g)
+        if not ok:
+            continue
+        split += 1
+        with_isolated += g.m > 0 and not all(map(g.degree, range(g.n)))
+        out = solve_split_cfcn(g, part)
+        if out.optimality == "exact":
+            assert out.colors_used == exact_cf(g, "cn").chromatic, h.name
+    assert (split, with_isolated) == (258, 87)

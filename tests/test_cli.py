@@ -315,6 +315,24 @@ def test_solve_fpt_decisions(tmp_path, capsys):
     assert verify(coloring, "cn")
 
 
+@pytest.mark.parametrize("text,modulator,kernel_vertices,note", [
+    # neither rule deletes a vertex of P4: the kernel is the graph itself
+    (P4, "1", "4", "kernel is the whole graph; witness not lifted"),
+    # three of the star's five leaf cliques are deleted and lifted back
+    ("p cf 6 5\n" + "".join(f"e 0 {v}\n" for v in range(1, 6)), "0", "3",
+     "lifted kernel witness"),
+])
+def test_solve_fpt_note_says_whether_the_witness_was_lifted(
+        tmp_path, capsys, text, modulator, kernel_vertices, note):
+    g = put(tmp_path, "g.cf", text)
+    code, pairs, _ = run(capsys, "kernelize", "--variant", "cn", "--k", "2",
+                         "--modulator", modulator, g)
+    assert code == 0 and pairs["kernel_vertices"] == kernel_vertices
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "fpt",
+                         "--k", "2", "--modulator", modulator, g)
+    assert code == 0 and pairs["decision"] == "yes" and pairs["note"] == note
+
+
 def test_solve_modulator_arg_errors(tmp_path, capsys):
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "lemma1",

@@ -409,7 +409,10 @@ def test_kernel_and_approx_outputs_pinned():
     # kernel's size, kept/x/deletion records, tau and provenance) or its
     # ValueError message on 60 planted cluster-modulator instances, all k up
     # to the constructive threshold, then of both approximations on 60
-    # planted threshold-modulator instances: any change to an output shows
+    # planted threshold-modulator instances: any change to an output shows.
+    # Pinned again when a kernel that is the whole graph got its own note;
+    # with that note read as the old "lifted kernel witness", the old
+    # digest 9b372fe3... is reproduced
     h = hashlib.sha256()
     for s in range(60):
         g, m = random_cluster_modulator_instance(8 + s % 9, 1 + s % 3, s)
@@ -437,4 +440,64 @@ def test_kernel_and_approx_outputs_pinned():
                 h.update(repr(str(exc)).encode())
                 continue
             h.update(repr((out.coloring.colors, out.optimality, out.note)).encode())
-    assert h.hexdigest() == "9b372fe3be6169d91e340ee60d7b993fba394f2a760f67413ddcc5a7ed7d525d"
+    assert h.hexdigest() == "262d7c37af9950685502e30a54186f66cb230fa1c752dd8fa8bd864a7b281de5"
+
+
+# --- twin classes on the kernel --------------------------------------------
+
+def _twin_class_cases():
+    """Criterion 4's instances (d 1-3, n 6-12, seeds 0-66), then planted
+    cluster modulators with n 12-24."""
+    for d in (1, 2, 3):
+        for seed in range(67):
+            yield random_cluster_modulator_instance(6 + seed % 7, d, seed)
+    for s in range(60):
+        yield random_cluster_modulator_instance(12 + s % 13, 1 + s % 3, 100 + s)
+
+
+def test_kernel_classes_are_twin_classes():
+    # the classes kernelize carries partition each clique after Rule 1
+    # into true twins of g; those it hands the search are disjoint, have
+    # two or more members, and are true twins of the kernel graph
+    searched = 0
+    for g, m in _twin_class_cases():
+        d = len(m.vertices)
+        for variant, top in ((VARIANT_CN, d + 2), (VARIANT_ON, 2 * d + 2)):
+            if variant == VARIANT_ON and not all(map(g.degree, range(g.n))):
+                continue
+            for k in range(1, top + 1):
+                inst = kernelize(g, m, k, variant)
+                if inst.short_circuit is not None:
+                    continue
+                assert len(inst.classes) == len(inst.cliques_after_rule1)
+                for clique, classes in zip(inst.cliques_after_rule1, inst.classes):
+                    assert sorted(v for _, vs in classes for v in vs) == list(clique)
+                    assert all(len({g.closed_neighbors(v) for v in vs}) == 1 for _, vs in classes)
+                members = [v for cls in inst.twins for v in cls]
+                assert len(members) == len(set(members))
+                for cls in inst.twins:
+                    assert len(cls) > 1
+                    assert len({inst.graph.closed_neighbors(v) for v in cls}) == 1
+                searched += bool(inst.twins)
+    assert searched > 1000
+
+
+def test_kernel_witnesses_pinned():
+    # sha256 over (yes, witness colors) of every kernel decision, or its
+    # ValueError message, on 150 planted cluster-modulator instances (n
+    # 12-24, d 1-3, seeds 100-249), every k up to the constructive
+    # threshold, as computed before the search was given the kernel's
+    # twin classes: the witnesses are those of the search without them
+    h = hashlib.sha256()
+    for s in range(150):
+        g, m = random_cluster_modulator_instance(12 + s % 13, 1 + s % 3, 100 + s)
+        d = len(m.vertices)
+        for variant, top in ((VARIANT_CN, d + 2), (VARIANT_ON, 2 * d + 2)):
+            for k in range(1, top + 1):
+                try:
+                    dec = solve_via_kernel(g, m, k, variant, limit=None)
+                except ValueError as exc:
+                    h.update(repr(str(exc)).encode())
+                    continue
+                h.update(repr((dec.yes, dec.witness.colors if dec.witness else None)).encode())
+    assert h.hexdigest() == "7936cf4415b1d0dfd89bca87e30392666d8ed53a743b8c365fa9446f11eb3e5c"

@@ -101,6 +101,19 @@ def test_induced_subgraph_on_every_vertex_is_the_graph():
         induced_subgraph(g, [1, 2, 3, 4, 5])
 
 
+def test_has_isolated_vertex_matches_degrees():
+    # every way a Graph is built: the constructor, both readers (the
+    # bulk one shares one empty tuple among vertices past the last
+    # endpoint) and induced subgraphs
+    for s in range(80):
+        g = random_graph(s % 12, (s % 5) / 5, s)
+        text = write_graph(g)
+        for h in (g, parse_graph(text), parse_graph("c\n" + text),
+                  induced_subgraph(g, range(0, g.n, 2))[0]):
+            assert h.has_isolated_vertex() == (not all(map(h.degree, range(h.n))))
+    assert not Graph(0).has_isolated_vertex() and Graph(1).has_isolated_vertex()
+
+
 def test_degrees_avoiding_matches_per_vertex_count():
     # the count from the removed side equals each vertex's degree less
     # its removed neighbours, removed vertices included

@@ -295,6 +295,53 @@ def test_one_color_matches_search(family):
     assert find_unique_coloring(n, sets, 1) == searched
 
 
+@st.composite
+def graphs_with_twins(draw):
+    """A graph on 1-6 vertices, then 1-4 planted twins: each new vertex
+    copies the neighbours of an existing one and, as a true twin, is
+    also joined to it."""
+    g = draw(graphs(min_n=1, max_n=6))
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    for _ in range(draw(st.integers(1, 4))):
+        v, w = draw(st.integers(0, len(adj) - 1)), len(adj)
+        adj.append(set(adj[v]))
+        for u in adj[v]:
+            adj[u].add(w)
+        if draw(st.booleans()):
+            adj[v].add(w)
+            adj[w].add(v)
+    return Graph(len(adj), [(u, w) for w in range(len(adj)) for u in adj[w] if u < w])
+
+
+def twin_classes(g):
+    """The classes of equal N[v] and of equal N(v) with two or more
+    members: no vertex has both a true and a false twin, so they are
+    disjoint."""
+    closed, open_ = {}, {}
+    for v in range(g.n):
+        closed.setdefault(g.closed_neighbors(v), []).append(v)
+        open_.setdefault(g.neighbors(v), []).append(v)
+    return [c for c in (*closed.values(), *open_.values()) if len(c) > 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_twins())
+def test_twin_classes_keep_the_plain_search_witness(g):
+    # the lex-leader floor prunes only colorings that a twin swap maps to
+    # a smaller one, so the search meets the same first witness as the
+    # search without classes, and as `counting_search`
+    twins = twin_classes(g)
+    members = [v for c in twins for v in c]
+    assert len(members) == len(set(members)) and twins
+    for variant in ("cn", "on"):
+        sets = oracle._neighborhood_constraints(g, variant)
+        for k in range(2, 6):
+            plain = counting_find_unique_coloring(g.n, sets, k)
+            assert find_unique_coloring(g.n, sets, k) == plain
+            assert find_unique_coloring(g.n, sets, k, twins) == plain
+        assert decide_cf(g, variant, 3, limit=None, twins=twins) == decide_cf(g, variant, 3, limit=None)
+
+
 def test_exact_witnesses_pinned():
     # sha256 over repr((chromatic, witness colors)) of exact_cf on 440
     # seeded G(n, p) graphs, n 6-16, p 0.3 and 0.5, both variants; the

@@ -205,7 +205,10 @@ def test_split_outcomes_pinned():
     # sha256 over (colors, optimality, note) on every labeled split graph
     # with at most 6 vertices, then on 300 seeded random_split graphs of
     # 1..14 vertices with their generator partitions, as computed by the
-    # candidate-partition scan that preceded the counting rule
+    # candidate-partition scan that preceded the counting rule.  Pinned
+    # again when graphs with isolated vertices got their edge component
+    # solved alone: 3021 of the 10655 outcomes moved, all on such graphs,
+    # 1697 of them to fewer colors and none to more
     h = hashlib.sha256()
     count = 0
     for g in labeled_graphs(6):
@@ -219,7 +222,7 @@ def test_split_outcomes_pinned():
         g, part = random_split(1 + s % 14, s)
         out = solve_split_cfcn(g, part)
         h.update(repr((out.coloring.colors, out.optimality, out.note)).encode())
-    assert h.hexdigest() == "ef10347da401e5bab201e6456eb7398d400e57bbfe9142f226377975d05bf351"
+    assert h.hexdigest() == "56bc26b8a634ee8f2e4cbd8f78551ca7417082e5e447dce7116cfb404c6a64e9"
 
 
 # --- cograph ---------------------------------------------------------------
