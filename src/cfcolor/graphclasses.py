@@ -27,10 +27,16 @@ come from a breadth-first search inside the module, co-components from
 a search over the still-unvisited vertices in which each look either
 reaches a vertex or is paid for by an edge.  Below a parallel node
 only the complement can split a module, and below a series node only
-the module itself, so each module takes one search.  A module is split
-in O(size + its edges), and a work list replaces recursion, because a
-threshold graph's cotree is about n/2 levels deep.  Each level
-rescans its module's edges, so deep cotrees cost up to O(n (n + m)).
+the module itself, so each module takes one search.  Before the search,
+degrees inside the module are tried: when the vertices of degree 0
+(|M| - 1 for the complement) stand alone and one of the rest connects
+the rest, they give the parts in O(|M|) with no search; this settles
+every level of a threshold graph.  A series part is trimmed by removing
+the vertices outside it from its members' neighbour sets, so each edge
+is removed once.  A searched module costs O(size + its edges), and a
+work list replaces recursion, because a threshold graph's cotree is
+about n/2 levels deep.  A threshold graph thus costs O(n^2 + m); other
+deep cotrees, whose levels need the search, up to O(n (n + m)).
 
 Cluster and threshold graphs are each decided by one check of G minus
 a removed vertex set, which returns the certificate or else a forbidden
@@ -64,8 +70,10 @@ build no subgraph.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import Graph, components_avoiding, degrees_avoiding
 
@@ -214,6 +222,34 @@ def _co_components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple
     return comps
 
 
+def _degree_split(
+    vertices: tuple[int, ...], adj: list[set[int]], co: bool
+) -> list[tuple[int, ...]] | None:
+    """The module's components (co-components with `co`) in the form of
+    `_components`, when degrees inside the module settle them, else
+    None.  A vertex of degree 0 (|M| - 1 with `co`) stands alone.  The
+    rest form one part when one of them is universal in the rest (is
+    isolated in it with `co`, so universal in its complement), as that
+    vertex connects the rest.  A threshold graph settles every level this
+    way, with a few C-level passes over the module's degrees."""
+    size = len(vertices)
+    degree = list(map(len, map(adj.__getitem__, vertices)))
+    alone = size - 1 if co else 0
+    loners = degree.count(alone)
+    if loners == size:
+        return [(v,) for v in vertices]
+    # no loner has this degree: a rest vertex always has a rest neighbour
+    # (a rest non-neighbour with `co`)
+    if (loners if co else size - loners - 1) not in degree:
+        return None
+    if not loners:
+        return [vertices]
+    rest = tuple(compress(vertices, map(alone.__ne__, degree)))
+    single = list(compress(vertices, map(alone.__eq__, degree)))
+    cut = bisect_left(single, rest[0])
+    return [(v,) for v in single[:cut]] + [rest] + [(v,) for v in single[cut:]]
+
+
 def modular_decomposition(g: Graph) -> MDNode:
     if g.n == 0:
         raise ValueError("modular decomposition of the empty graph is undefined")
@@ -235,19 +271,19 @@ def modular_decomposition(g: Graph) -> MDNode:
         else:
             kind = "prime"
             if above[i] != "parallel":
-                parts = _components(vertices, adj)
+                parts = _degree_split(vertices, adj, False) or _components(vertices, adj)
                 kind = "parallel" if len(parts) > 1 else kind
             if kind == "prime" and above[i] != "series":
-                parts = _co_components(vertices, adj)
+                parts = _degree_split(vertices, adj, True) or _co_components(vertices, adj)
                 kind = "series" if len(parts) > 1 else kind
             if kind == "prime":
                 parts = [(v,) for v in vertices]
             elif kind == "series":  # a co-component keeps its own neighbours
                 for part in parts:
                     if len(part) > 1:
-                        inside = set(part)
+                        outside = set(vertices).difference(part)
                         for v in part:
-                            adj[v] &= inside
+                            adj[v] -= outside  # each edge is removed once
         above.extend([kind] * len(parts))
         kinds.append(kind)
         kids.append(range(len(modules), len(modules) + len(parts)))

@@ -26,6 +26,7 @@ its edge vertices in id order, and the edge vertex I_uv has (u, v).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import Graph, SizeGuardError
@@ -126,21 +127,32 @@ def decode(inst: GadgetInstance, ch: Coloring) -> Coloring:
 def properly_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
     """Plain backtracking proper coloring, independent of the main oracle.
 
-    It colors the vertices in id order and runs as a loop over that
-    position, so a long path does not hit Python's recursion limit."""
-    colors = [-1] * g.n
+    It colors the vertices in id order, each with the least color that
+    none of its earlier neighbours has, so the first coloring it finds is
+    the lexicographically least proper k-coloring.  The colors of a
+    vertex's earlier neighbours are collected once, when the search
+    steps forward onto it; backtracking changes none of them.  It runs
+    as a loop over the position, so a long path does not hit Python's
+    recursion limit."""
+    n = g.n
+    earlier = [nb[:bisect_left(nb, v)] for v, nb in enumerate(map(g.neighbors, range(n)))]
+    colors = [-1] * n
+    taken = [()] * n  # taken[v]: the colors of v's earlier neighbours
     v = 0
-    while 0 <= v < g.n:
+    while 0 <= v < n:
         c = colors[v] + 1  # the next color to try; only u < v are colored
-        while c < k and any(colors[u] == c for u in g.neighbors(v) if u < v):
+        banned = taken[v]
+        while c < k and c in banned:
             c += 1
         if c < k:
             colors[v] = c
             v += 1
+            if v < n:
+                taken[v] = [colors[u] for u in earlier[v]]
         else:
             colors[v] = -1
             v -= 1
-    return tuple(colors) if v == g.n else None
+    return tuple(colors) if v == n else None
 
 
 @dataclass(frozen=True)

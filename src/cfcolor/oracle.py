@@ -136,15 +136,16 @@ def _search(
     seen = [0] * k  # seen[c]: the constraints with color c at least once
     twice = [0] * k  # twice[c]: those with color c at least twice
     n = len(order)
+    last = k - 1
     colors = [0] * (n + 1)  # by depth; slot n, never colored, reads 0
     used = [0] * (n + 1)  # used[i]: distinct colors among the first i vertices
-    seen_before = [0] * n  # seen[c] and twice[c] before coloring depth i with c
-    twice_before = [0] * n
+    saved = [None] * n  # (seen[c], twice[c]) before coloring depth i with c
     depth = 0
     c = -1  # the color last tried at `depth`
     while depth < n:
         mask = masks[depth]
-        top = min(used[depth], k - 1)
+        u = used[depth]
+        top = u if u < k else last  # min(u, k - 1), without a builtin call per node
         c += 1
         while c <= top:
             a, b = seen[c], twice[c]
@@ -154,7 +155,9 @@ def _search(
                 twice[c] = b | hit
                 # dead if seeing no color once and either complete (its
                 # last member is colored here) or seeing all k colors twice
-                doomed = hit & closes[depth] | reduce(and_, twice, hit)
+                doomed = hit & closes[depth]
+                if u == k or c == last:  # else some color is unused, twice[.] is 0
+                    doomed |= reduce(and_, twice, hit)
                 if doomed and doomed & reduce(or_, map(xor, seen, twice)) != doomed:
                     seen[c], twice[c] = a, b
                     c += 1
@@ -162,20 +165,27 @@ def _search(
             break
         if c <= top:
             colors[depth] = c
-            seen_before[depth], twice_before[depth] = a, b
-            used[depth + 1] = max(used[depth], c + 1)
+            saved[depth] = (a, b)
             depth += 1
+            used[depth] = u + 1 if c == u else u  # c <= u, so this is max(u, c + 1)
             c = colors[floor[depth]] - 1  # fresh: start at the previous twin's color
         else:
             if depth == 0:
                 return None
             depth -= 1  # back from a dead subtree: take the old color back
             c = colors[depth]
-            seen[c], twice[c] = seen_before[depth], twice_before[depth]
+            seen[c], twice[c] = saved[depth]
     witness = [0] * n
     for v, c in zip(order, colors):
         witness[v] = c
     return witness
+
+
+def _one_color(n: int, constraints: Sequence[Sequence[int]]) -> list[int] | None:
+    """The 1-coloring if every constraint set has a unique color under
+    it, else None: with one color, a set has a unique color only when it
+    has one distinct member."""
+    return [0] * n if all(len(set(s)) == 1 for s in constraints) else None
 
 
 def find_unique_coloring(
@@ -184,9 +194,8 @@ def find_unique_coloring(
 ) -> list[int] | None:
     """Some k-coloring where every constraint set has a unique color, or
     None when there is none.  Empty constraint sets make the instance
-    infeasible; vertices in no set get color 0.  With one color, a set
-    has a unique color only when it has one distinct member, so k = 1 is
-    decided without a search.
+    infeasible; vertices in no set get color 0.  k = 1 is decided
+    without a search, by `_one_color`.
 
     `twins` are disjoint classes of interchangeable vertices: swapping
     any two members of a class must map the family of constraint sets
@@ -195,7 +204,7 @@ def find_unique_coloring(
     if k <= 0:
         return None if n or constraints else []
     if k == 1:
-        return [0] * n if all(len(set(s)) == 1 for s in constraints) else None
+        return _one_color(n, constraints)
     return _search(k, constraints, *_search_order(n, constraints, twins))
 
 
@@ -212,7 +221,8 @@ def _check_guard(g: Graph, limit: int | None) -> None:
 
 def exact_cf(g: Graph, variant: str, limit: int | None = DEFAULT_LIMIT) -> OracleResult:
     """Minimum number of distinct colors for the variant, with a witness:
-    the search runs k = 1, 2, ... over one search order.
+    k = 1 is decided by `_one_color`; when it fails, the search runs
+    k = 2, 3, ... over one search order, built only then.
 
     CF-ON on a graph with an isolated vertex is infeasible at every k.
     Otherwise every neighborhood is nonempty, so k = n (all colors
@@ -224,10 +234,13 @@ def exact_cf(g: Graph, variant: str, limit: int | None = DEFAULT_LIMIT) -> Oracl
     if g.n == 0:
         return OracleResult(0, Coloring(g, ()))
     constraints = _neighborhood_constraints(g, variant)
-    prepared, order = _search_order(g.n, constraints)
     k = 1
-    while (colors := _search(k, constraints, prepared, order)) is None:
-        k += 1
+    colors = _one_color(g.n, constraints)
+    if colors is None:
+        prepared, order = _search_order(g.n, constraints)
+        k = 2
+        while (colors := _search(k, constraints, prepared, order)) is None:
+            k += 1
     witness = checked(Coloring(g, tuple(colors)), variant, "the oracle's witness check")
     return OracleResult(k, witness)
 

@@ -308,6 +308,48 @@ def test_deep_cotree_without_recursion():
     assert deepest > 150
 
 
+def _modules_to_split():
+    """(vertices, in-module neighbour sets) pairs: every labeled graph
+    with at most 5 vertices, then random vertex subsets of seeded
+    threshold graphs and G(n, p) graphs with at most 12 vertices."""
+    for g in labeled_graphs(5):
+        yield tuple(range(g.n)), [set(g.neighbors(v)) for v in range(g.n)]
+    rng = random.Random(3)
+    for s in range(300):
+        n = rng.randint(2, 12)
+        g = random_threshold(n, s)[0] if s % 2 else random_graph(n, rng.random(), s)
+        vertices = tuple(v for v in range(n) if rng.random() < 0.8) or (0,)
+        inside = set(vertices)
+        yield vertices, [set(g.neighbors(v)) & inside for v in range(n)]
+
+
+def test_degree_split_matches_the_searches():
+    # whenever the degrees settle a module, they give exactly the parts
+    # the breadth-first searches give
+    settled = 0
+    for vertices, adj in _modules_to_split():
+        for co, search in ((False, graphclasses_module._components),
+                           (True, graphclasses_module._co_components)):
+            parts = graphclasses_module._degree_split(vertices, adj, co)
+            if parts is not None:
+                settled += 1
+                assert parts == search(vertices, adj)
+    assert settled > 1000
+
+
+def test_threshold_cotree_needs_no_search(monkeypatch):
+    # every level of a threshold graph's cotree is settled by degrees
+    def no_search(vertices, adj):
+        raise AssertionError("searched a threshold module")
+
+    monkeypatch.setattr(graphclasses_module, "_components", no_search)
+    monkeypatch.setattr(graphclasses_module, "_co_components", no_search)
+    for n in (1, 2, 5, 30, 200):
+        for s in range(3):
+            ok, tree = is_cograph(random_threshold(n, s, connected=bool(s % 2))[0])
+            assert ok and not has_prime_node(tree)
+
+
 # --- modulators ------------------------------------------------------------
 
 @pytest.mark.parametrize(

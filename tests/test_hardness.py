@@ -1,6 +1,7 @@
 """Split-gadget reduction: proper k-colorability vs CF-ON k+2 colors."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -152,6 +153,17 @@ def test_properly_colorable():
     assert properly_colorable(K4, 3) is None
     assert properly_colorable(C5, 2) is None
     assert properly_colorable(Graph(4, [(0, 1), (1, 2), (2, 3)]), 2) == (0, 1, 0, 1)
+
+
+def test_properly_colorable_is_lexicographically_first():
+    # the first proper k-coloring in itertools.product order, k 1-4, on
+    # every labeled graph with at most 5 vertices
+    for g in labeled_graphs(5):
+        edges = g.edges
+        for k in range(1, 5):
+            first = next((colors for colors in itertools.product(range(k), repeat=g.n)
+                          if all(colors[u] != colors[v] for u, v in edges)), None)
+            assert properly_colorable(g, k) == first
 
 
 def test_cross_validate_exhaustive_small():

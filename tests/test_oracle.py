@@ -357,6 +357,20 @@ def test_exact_witnesses_pinned():
     assert h.hexdigest() == "1bbf73190163ad4cd2f6ec73ed25511f8eb5757cbbf7326e2414804651450d7e"
 
 
+def test_exact_witnesses_pinned_at_bench_sizes():
+    # as above, with limit=None, on 160 seeded G(n, p) graphs, n 17-20,
+    # p 0.3 and 0.5, seeds 0-9: the sizes the oracle benchmark runs
+    h = hashlib.sha256()
+    for n in range(17, 21):
+        for p in (0.3, 0.5):
+            for s in range(10):
+                g = random_graph(n, p, s)
+                for variant in ("cn", "on"):
+                    res = exact_cf(g, variant, limit=None)
+                    h.update(repr((res.chromatic, res.witness.colors if res.witness else None)).encode())
+    assert h.hexdigest() == "0520d90442c1afbcd8ad01adbfe0f234ce446355354430244ed8271b391e29c8"
+
+
 def test_find_unique_coloring_empty_set_is_infeasible():
     assert find_unique_coloring(3, [(0, 1), ()], 3) is None
     assert find_unique_coloring(0, [], 0) == []
