@@ -64,6 +64,9 @@ def _random_composition(total: int, rng: random.Random) -> list[int]:
 
 
 def random_cluster(n: int, seed: int) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
+    """Cliques of random sizes summing to n; n = 0 gives the empty graph."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     rng = random.Random(seed)
     return cluster_graph(tuple(_random_composition(n, rng)))
 

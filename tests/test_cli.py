@@ -151,6 +151,13 @@ def test_oracle_decide(tmp_path, capsys):
     assert code == 0 and pairs["decision"] == "yes" and pairs["colors_used"] == "3"
 
 
+def test_oracle_decide_budget_above_the_vertex_count(tmp_path, capsys):
+    # the budget is cut to the vertex count, so no per-color state is sized by it
+    g = put(tmp_path, "p4.cf", P4)
+    code, pairs, _ = run(capsys, "oracle", "--variant", "cn", "--k", "1000000000000", g)
+    assert code == 0 and pairs["decision"] == "yes" and pairs["colors_used"] == "2"
+
+
 def test_oracle_infeasible(tmp_path, capsys):
     g = put(tmp_path, "iso.cf", TWO_ISOLATED)
     code, pairs, _ = run(capsys, "oracle", "--variant", "on", g)
@@ -564,6 +571,11 @@ def test_gen_missing_d(tmp_path, capsys):
 def test_gen_refuses_empty(klass, capsys):
     code, pairs, _ = run(capsys, "gen", "--class", klass, "--n", "0", "--seed", "1")
     assert code == 2 and pairs["error"] == "need n >= 1"
+
+
+def test_gen_cluster_refuses_negative_n(capsys):
+    code, pairs, _ = run(capsys, "gen", "--class", "cluster", "--n", "-3", "--seed", "1")
+    assert code == 2 and pairs["error"] == "need n >= 0"
 
 
 # --- artifact writes ---------------------------------------------------------

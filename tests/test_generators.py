@@ -58,6 +58,10 @@ def test_cluster_graph_shape():
     assert is_cluster(g)[0]
     with pytest.raises(ValueError, match="positive"):
         cluster_graph((2, 0))
+    g, cliques = random_cluster(0, 1)
+    assert g.n == 0 and cliques == ()
+    with pytest.raises(ValueError, match=r"need n >= 0"):
+        random_cluster(-3, 1)
 
 
 # --- certificates re-validate ---------------------------------------------

@@ -10,6 +10,7 @@ they must return the same witness, not just agree on feasibility.
 
 import hashlib
 import itertools
+import re
 from typing import Sequence
 
 import pytest
@@ -265,12 +266,89 @@ def counting_find_unique_coloring(n, constraints, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(constraint_families(max_n=10, max_sets=12, max_k=4))
+@given(constraint_families(max_n=10, max_sets=12, max_k=8))
 @example((5, [[0, 3, 4], [0, 1, 2, 4], [3], [0, 2], [0, 1, 3], [1, 2, 4]], 2))
 @example((3, [[0, 1], []], 3))
+# budgets above the vertex count, which the search cuts to n
+@example((3, [[0, 1], [0, 1, 2], [1, 2]], 8))
+@example((1, [[0]], 5))
 def test_find_unique_coloring_matches_counting_search(family):
     n, sets, k = family
     assert find_unique_coloring(n, sets, k) == counting_find_unique_coloring(n, sets, k)
+
+
+def test_color_budget_is_cut_to_the_vertex_count():
+    # the search never uses more than n colors, so a huge budget answers
+    # as k = n does, without allocating or scanning per color
+    for n, p, seed in ((4, 0.5, 1), (12, 0.4, 3), (16, 0.3, 1)):
+        sets = oracle._neighborhood_constraints(random_graph(n, p, seed), "cn")
+        assert find_unique_coloring(n, sets, 10**12) == find_unique_coloring(n, sets, n)
+    assert find_unique_coloring(0, [], 10**12) == []
+    assert find_unique_coloring(0, [[]], 10**12) is None
+
+
+def test_loop_needs_an_integer_k(monkeypatch):
+    # the loop's source is made from k alone, so k must be an int before
+    # any source exists
+    monkeypatch.setattr(oracle, "_LOOPS", {})
+    monkeypatch.setattr(oracle, "_loop_source", lambda k: pytest.fail("source built"))
+    for k in (2.0, "2"):
+        with pytest.raises(TypeError):
+            oracle._loop(k)
+    with pytest.raises(ValueError):
+        oracle._loop(0)
+
+
+def test_loops_compile_once_per_k_under_a_named_file(monkeypatch):
+    built = []
+
+    def spy(source, filename, mode):
+        built.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(oracle, "_LOOPS", {})
+    monkeypatch.setattr(oracle, "compile", spy, raising=False)
+    for k in range(1, 17):
+        loop = oracle._loop(k)
+        assert len(built) == k and loop.__code__.co_filename == built[-1]
+        assert "oracle" in built[-1] and re.search(rf"\bk={k}\b", built[-1])
+    sets = oracle._neighborhood_constraints(random_graph(16, 0.3, 1), "cn")
+    for k in range(2, 17):  # each k's loop exists, so no search compiles
+        first = find_unique_coloring(16, sets, k)
+        assert find_unique_coloring(16, sets, k) == first
+    assert len(built) == 16
+    # long chains and prune tests are split, so large k compiles too
+    oracle._loop(5000)
+    assert len(built) == 17
+
+
+def test_generated_chains_and_folds_at_any_k():
+    # above 16 colors the if-chain nests and above 64 operands the prune
+    # test is split; both must still pick color c and fold every operand
+    for k in (1, 2, 15, 16, 17, 64, 65, 300):
+        lines = oracle._by_color(lambda c: [f"picked = {c}"], 0, k, "")
+        chain = compile("\n".join(lines), "chain", "exec")
+        for c in range(k):
+            namespace = {"c": c}
+            exec(chain, namespace)
+            assert namespace["picked"] == c
+        terms = [f"x{i}" for i in range(k)]
+        values = {x: 1 << i | 1 << k for i, x in enumerate(terms)}
+        for op, expected in (("&", 1 << k), ("|", (2 << k) - 1)):
+            namespace = dict(values)
+            exec("\n".join(oracle._fold("folded", op, terms, "")), namespace)
+            assert namespace["folded"] == (values["x0"] if k == 1 else expected)
+
+
+@pytest.mark.parametrize("n", [20, 70])
+def test_all_distinct_colors_through_nested_chains(n):
+    # every pair is a constraint, so it needs n distinct colors: the
+    # search walks every color of a loop whose chain nests
+    pairs = list(itertools.combinations(range(n), 2))
+    witness = find_unique_coloring(n, pairs, n)
+    assert sorted(witness) == list(range(n))
+    assert witness == counting_find_unique_coloring(n, pairs, n)
+    assert find_unique_coloring(n, pairs, n - 1) is None
 
 
 @st.composite
