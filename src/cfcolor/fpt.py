@@ -116,40 +116,9 @@ def _type_masks(g: Graph, x: tuple[int, ...]) -> list[int]:
     return mask
 
 
-@dataclass(frozen=True)
-class CliqueTypes:
-    """Partition of one residual clique by modulator adjacency.
-
-    ``types`` pairs each adjacency bitmask Y (bit i set iff adjacent to
-    the i-th smallest modulator vertex) with the sorted clique members
-    whose modulator neighborhood is exactly Y.
-    """
-
-    clique: tuple[int, ...]
-    types: Classes
-
-    def vector(self, cap: int | None = None) -> MegaType:
-        """Per-type member counts, each clamped to ``cap`` when given."""
-        return tuple(
-            (y, len(vs) if cap is None else min(len(vs), cap))
-            for y, vs in self.types
-        )
-
-
-def compute_types(g: Graph, m: Modulator) -> tuple[CliqueTypes, ...]:
-    """Split every residual clique into its modulator-adjacency classes.
-
-    Classes are disjoint and cover the clique; two members of the same
-    class are true twins in g, which is what both reduction rules
-    exploit.
-    """
-    x, cliques = _residual(g, m, "cluster")
-    return tuple(map(CliqueTypes, cliques, _types(g, x, cliques)))
-
-
 def _types(g: Graph, x: tuple[int, ...], cliques: list[tuple[int, ...]]) -> list[Classes]:
-    """Each clique's classes: the classifier behind `compute_types`,
-    Rule 1, the lift and the search's twin classes."""
+    """Each clique's classes: the classifier behind Rule 1, the lift and
+    the search's twin classes."""
     mask = _type_masks(g, x)
     out = []
     for clique in cliques:

@@ -169,19 +169,6 @@ def is_threshold(g: Graph) -> tuple[bool, tuple[tuple[int, str], ...] | None]:
     return order is not None, order
 
 
-def replay_elimination(n: int, order: tuple[tuple[int, str], ...]) -> Graph:
-    """Rebuild a graph from an elimination certificate (reverse = construction)."""
-    present: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for v, kind in reversed(order):
-        if kind == "universal":
-            edges.extend((v, u) for u in present)
-        elif kind != "isolated":
-            raise ValueError(f"unknown elimination tag {kind!r}")
-        present.append(v)
-    return Graph(n, edges)
-
-
 def _components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple[int, ...]]:
     """Components of the module, each sorted, ordered by smallest member;
     adj[v] holds v's neighbours inside the module."""

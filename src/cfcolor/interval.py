@@ -61,12 +61,6 @@ class IntervalRepresentation:
     def n(self) -> int:
         return len(self.intervals)
 
-    def left(self, v: int) -> Fraction:
-        return self.intervals[v][0]
-
-    def right(self, v: int) -> Fraction:
-        return self.intervals[v][1]
-
 
 @dataclass(frozen=True)
 class RepresentationVerdict:

@@ -24,14 +24,13 @@ from cfcolor.interval import cfcn_interval, cfon_interval
 from cfcolor.fpt import approx_cfcn_threshold, approx_cfon_threshold, rule1_cap, solve_via_kernel
 from cfcolor.hardness import cross_validate
 from cfcolor.generators import (
-    connected_split_graphs,
-    enumerate_small,
     random_cluster_modulator_instance,
-    random_coloring,
     random_graph,
     random_interval_instance,
     random_threshold_modulator_instance,
 )
+
+from smallgraphs import connected_split_graphs, enumerate_small, random_coloring
 
 K2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])

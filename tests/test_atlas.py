@@ -7,11 +7,12 @@ from collections import Counter
 
 import pytest
 
-from cfcolor.generators import enumerate_small
 from cfcolor.graph import Graph
 from cfcolor.graphclasses import is_bipartite, is_cluster, is_cograph, is_split, is_threshold
 from cfcolor.oracle import exact_cf
 from cfcolor.polysolve import solve_split_cfcn
+
+from smallgraphs import enumerate_small
 
 nx = pytest.importorskip("networkx")
 from networkx.algorithms.threshold import is_threshold_graph  # noqa: E402

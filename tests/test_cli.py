@@ -14,11 +14,12 @@ import cfcolor
 from cfcolor.cli import build_parser, dispatch
 from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify, write_coloring
 from cfcolor.fpt import kernelize, provenance
-from cfcolor.generators import enumerate_small, random_graph, random_split, random_threshold
+from cfcolor.generators import random_graph, random_split, random_threshold
 from cfcolor.graph import Graph, parse_graph, write_graph
 from cfcolor.graphclasses import Modulator, is_bipartite, is_cograph, is_split
 from cfcolor.polysolve import SolveOutcome, solve_split_cfcn
 
+from smallgraphs import enumerate_small
 from strategies import modulator_pin_graphs, stack_depth
 
 P4 = "p cf 4 3\ne 0 1\ne 1 2\ne 2 3\n"

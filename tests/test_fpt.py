@@ -18,21 +18,22 @@ from cfcolor.oracle import decide_cf, exact_cf
 from cfcolor.fpt import (
     _component_universal,
     _type_masks,
+    _types,
     approx_cfcn_threshold,
     approx_cfon_threshold,
-    compute_types,
     kernel_size_bound,
     kernelize,
     provenance,
     rule1_cap,
     solve_via_kernel,
 )
-from cfcolor.polysolve import lemma1_cfcn, lemma1_cfon
+from cfcolor.polysolve import _residual, lemma1_cfcn, lemma1_cfon
 from cfcolor.generators import (
-    enumerate_small,
     random_cluster_modulator_instance,
     random_threshold_modulator_instance,
 )
+
+from smallgraphs import enumerate_small
 
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
 K11 = Graph(11, [(u, v) for u in range(11) for v in range(u + 1, 11)])
@@ -45,22 +46,25 @@ P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 def test_types_split_by_modulator_adjacency():
     # clique {0,1} with only 0 adjacent to the modulator vertex 2
     g = Graph(3, [(0, 1), (0, 2)])
-    (ct,) = compute_types(g, Modulator((2,), "cluster"))
-    assert ct.clique == (0, 1)
-    assert ct.types == ((0, (1,)), (1, (0,)))
-    assert ct.vector() == ((0, 1), (1, 1))
+    x, cliques = _residual(g, Modulator((2,), "cluster"), "cluster")
+    (types,) = _types(g, x, cliques)
+    assert cliques == [(0, 1)]
+    assert types == ((0, (1,)), (1, (0,)))
+    assert tuple((y, len(vs)) for y, vs in types) == ((0, 1), (1, 1))
 
 
 def test_types_with_empty_modulator():
-    (ct,) = compute_types(K3, Modulator((), "cluster"))
-    assert ct.types == ((0, (0, 1, 2)),)
-    assert ct.vector(cap=2) == ((0, 2),)
+    x, cliques = _residual(K3, Modulator((), "cluster"), "cluster")
+    (types,) = _types(K3, x, cliques)
+    assert types == ((0, (0, 1, 2)),)
+    assert tuple((y, min(len(vs), 2)) for y, vs in types) == ((0, 2),)
 
 
 def test_types_singleton_clique_two_modulator_vertices():
     g = Graph(3, [(0, 1), (0, 2)])
-    (ct,) = compute_types(g, Modulator((1, 2), "cluster"))
-    assert ct.clique == (0,) and ct.types == ((3, (0,)),)
+    x, cliques = _residual(g, Modulator((1, 2), "cluster"), "cluster")
+    (types,) = _types(g, x, cliques)
+    assert cliques == [(0,)] and types == ((3, (0,)),)
 
 
 def test_types_partition_residual_exactly():
@@ -69,8 +73,9 @@ def test_types_partition_residual_exactly():
             m = cluster_modulator(g, 2)
             if m is None:
                 continue
+            x, cliques = _residual(g, m, "cluster")
             seen = [
-                v for ct in compute_types(g, m) for _, vs in ct.types for v in vs
+                v for types in _types(g, x, cliques) for _, vs in types for v in vs
             ]
             assert sorted(seen) == [v for v in range(g.n) if v not in m.vertices]
 

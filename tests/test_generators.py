@@ -11,22 +11,24 @@ from cfcolor.graphclasses import (
     is_cograph,
     is_split,
     is_threshold,
-    replay_elimination,
     validate_modulator,
 )
 from cfcolor.interval import IntervalRepresentation, validate_representation
 from cfcolor.generators import (
     cluster_graph,
-    connected_split_graphs,
-    enumerate_small,
     random_cluster,
     random_cluster_modulator_instance,
-    random_coloring,
     random_graph,
     random_interval_instance,
     random_split,
     random_threshold,
     random_threshold_modulator_instance,
+)
+
+from smallgraphs import (
+    connected_split_graphs,
+    enumerate_small,
+    random_coloring,
     _invariant,
     _isomorphic,
 )
@@ -169,7 +171,7 @@ def test_enumerate_small_connected_census():
 
 def test_enumeration_total_census():
     # all graphs (including disconnected): OEIS A000088
-    from cfcolor.generators import _levels_up_to, _plain_levels
+    from smallgraphs import _levels_up_to, _plain_levels
 
     _levels_up_to(7, None, _plain_levels)
     expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}

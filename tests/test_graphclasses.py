@@ -22,15 +22,11 @@ from cfcolor.graphclasses import (
     is_split,
     is_threshold,
     modular_decomposition,
-    replay_elimination,
     residual_components,
     threshold_modulator,
     validate_modulator,
 )
 from cfcolor.generators import (
-    _levels_up_to,
-    _plain_levels,
-    enumerate_small,
     random_cluster,
     random_cluster_modulator_instance,
     random_graph,
@@ -39,6 +35,7 @@ from cfcolor.generators import (
     random_threshold_modulator_instance,
 )
 
+from smallgraphs import _levels_up_to, _plain_levels, replay_elimination
 from strategies import graphs, labeled_graphs, modulator_pin_graphs, stack_depth
 
 P3 = Graph(3, [(0, 1), (1, 2)])

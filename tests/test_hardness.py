@@ -10,7 +10,6 @@ from cfcolor import hardness
 from cfcolor.graph import Graph, SizeGuardError
 from cfcolor.coloring import Coloring, SelfCheckError, VerifyResult, verify_cfon
 from cfcolor.graphclasses import is_split
-from cfcolor.generators import enumerate_small
 from cfcolor.hardness import (
     CrossReport,
     GadgetInstance,
@@ -20,6 +19,7 @@ from cfcolor.hardness import (
     forward_coloring,
     properly_colorable,
 )
+from smallgraphs import enumerate_small
 from strategies import labeled_graphs
 
 K1 = Graph(1, [])
@@ -261,7 +261,7 @@ def test_cross_validate_all_graphs_up_to_five():
     # lifted; every gadget decision still mirrors 3-colorability.  The
     # sha256 over repr((source_yes, gadget_yes, decoded colors)) pins
     # the witnesses: they depend on H's vertex numbering
-    from cfcolor.generators import _levels_up_to, _plain_levels
+    from smallgraphs import _levels_up_to, _plain_levels
 
     _levels_up_to(5, None, _plain_levels)
     h = hashlib.sha256()

@@ -49,7 +49,7 @@ def test_parse_round_trip():
 
 def test_parse_rationals_and_comments():
     rep = parse_intervals("c a comment\n\ni 1 7/2 9/2\ni 0 1 2\n", 2)
-    assert rep.left(1) == Fraction(7, 2) and rep.right(1) == Fraction(9, 2)
+    assert rep.intervals[1] == (Fraction(7, 2), Fraction(9, 2))
     assert rep.intervals[0] == (Fraction(1), Fraction(2))
 
 
@@ -157,7 +157,8 @@ def _pairwise_verdict(g, rep):
 def _pairwise_graph(rep):
     n = rep.n
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if max(rep.left(u), rep.left(v)) <= min(rep.right(u), rep.right(v))])
+                     if max(rep.intervals[u][0], rep.intervals[v][0])
+                     <= min(rep.intervals[u][1], rep.intervals[v][1])])
 
 
 def _perturbed(g, s):

@@ -1,5 +1,6 @@
 """Module layering: the verifier's module and the modules below the
-solvers import no solver, recognizer or front end.
+solvers import no solver, recognizer or front end; and the package
+ships no public function or class that only the tests call.
 
 `coloring` holds the rules every solver shares (feasibility, the
 self-check, the checked outcome), so `oracle`, `interval` and
@@ -15,6 +16,7 @@ import pytest
 import cfcolor
 
 PACKAGE = Path(cfcolor.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 LOWER = ("coloring", "graph", "oracle", "interval", "hardness")
 UPPER = ("polysolve", "graphclasses", "fpt", "cli")
 
@@ -46,3 +48,56 @@ def test_imports_are_read():
     assert {"coloring", "graphclasses"} <= imported_modules("polysolve")
     assert {"oracle", "polysolve"} <= imported_modules("fpt")
     assert "coloring" in imported_modules("hardness")
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes of the module, its classes and
+    its functions."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                found.add(id(first.value))
+    return found
+
+
+def _mentions(node: ast.AST, docstrings: set[int]) -> set[str]:
+    """Every name, attribute, import alias and identifier-shaped string
+    constant under `node`; `bench/spans.py` names the traced functions
+    by string."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.update(sub.name.split("."))
+            if sub.asname:
+                found.add(sub.asname)
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier() and id(sub) not in docstrings):
+            found.add(sub.value)
+    return found
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a top-level statement's own name does not count inside it, so a
+    # recursive function is not its own caller
+    defined = set()
+    used = set()
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        docstrings = _docstrings(tree)
+        for stmt in tree.body:
+            names = _mentions(stmt, docstrings)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if path.parent == PACKAGE and not stmt.name.startswith("_"):
+                    defined.add((path.stem, stmt.name))
+            used |= names
+    unused = sorted(f"{module}.{name}" for module, name in defined if name not in used)
+    assert not unused, f"named only by the tests: {', '.join(unused)}"

@@ -28,12 +28,11 @@ from cfcolor.polysolve import (
     solve_split_cfcn,
 )
 from cfcolor.generators import (
-    connected_split_graphs,
-    enumerate_small,
     random_cluster_modulator_instance,
     random_split,
 )
 
+from smallgraphs import connected_split_graphs, enumerate_small
 from strategies import labeled_graphs
 
 K2 = Graph(2, [(0, 1)])
