@@ -56,6 +56,7 @@ import argparse
 import functools
 import hashlib
 import io
+import math
 import os
 import sys
 import time
@@ -92,6 +93,7 @@ from .fpt import (
     kernel_size_bound,
     kernelize,
     provenance,
+    rule1_cap,
     solve_via_kernel,
 )
 from .hardness import cross_validate, encode
@@ -401,6 +403,20 @@ def _cmd_modulator(args, report: RunReport) -> int:
     return 0
 
 
+def _size_bound(d: int, k: int, variant: str) -> int | str:
+    """`kernel_size_bound`, or its formula with the numbers filled in
+    when the integer would pass 4000 digits, past which Python refuses
+    to print it.  The digits are estimated from logarithms before any
+    power is taken: around d = 30 the power alone needs 2^(d+1) bits."""
+    cap = rule1_cap(k, variant)
+    # beyond d = 64 the leading term alone is far past the limit
+    digits = (2.0 ** min(d, 64) * math.log10(cap + 1)
+              + math.log10((d + 1) * cap) + d * math.log10(2))
+    if digits > 4000:
+        return f"{d} + {cap + 1}^(2^{d}) * {d + 1} * 2^{d} * {cap}"
+    return kernel_size_bound(d, k, variant)
+
+
 def _cmd_kernelize(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
     if not feasible(g, args.variant):
@@ -410,7 +426,7 @@ def _cmd_kernelize(args, report: RunReport) -> int:
     stem = _stem(args)
     report.add("kernel_vertices", inst.graph.n)
     report.add("kernel_edges", inst.graph.m)
-    report.add("size_bound", kernel_size_bound(len(m.vertices), args.k, args.variant))
+    report.add("size_bound", _size_bound(len(m.vertices), args.k, args.variant))
     if inst.short_circuit is not None:
         report.add("short_circuit", "yes")
         report.add("colors_used", inst.short_circuit.colors_used)

@@ -18,12 +18,13 @@ by the cap's pigeonhole always exists.  When neither rule deletes a
 vertex, the kernel is the graph itself: its witness needs no lift, and
 the oracle's check of it is the only one.
 
-The (clique, Y) classes are built once, from X's adjacency masks, and
-carried on the kernel.  Rule 1 caps them, the lift reads the kept
-members of each class from them, and the search gets the kept classes
-of two or more, which are true twins of the kernel graph, so that it
-tries one order of colors per class (the lex-leader break in `oracle`)
-and still returns the witness it would return without them.
+Rule 1's outcome is one record per residual clique: its (clique, Y)
+classes, built once from X's adjacency masks, as (Y, kept, dropped).
+The rest is read off it: a clique's representative is its smallest
+member, which Rule 1 keeps, and its mega-type is its kept count per Y.
+The search gets the kept classes of two or more, true twins of the
+kernel graph, so it tries one order of colors per class (`oracle`'s
+lex-leader break) and returns the witness it would without them.
 
 Approximation (threshold modulator X).  Only the modulator's own
 neighborhood constraints plus those of singleton residual components are
@@ -42,8 +43,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from typing import Sequence
 
 from .graph import Graph, induced_subgraph
@@ -70,21 +69,17 @@ def kernel_size_bound(d: int, k: int, variant: str) -> int:
     return d + (cap + 1) ** (2**d) * (d + 1) * (2**d) * cap
 
 
-Classes = tuple[tuple[int, tuple[int, ...]], ...]  # (Y, members) pairs, Y increasing
+Classes = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
 class KernelInstance:
     graph: Graph
-    x: tuple[int, ...]  # kernel ids of the modulator vertices
-    k: int
     variant: str
-    kept: tuple[int, ...]  # kept[i] = original id of kernel vertex i
-    deleted_vertices: tuple[tuple[int, int, int], ...]  # (v, clique rep, Y-mask)
-    deleted_cliques: tuple[tuple[int, int], ...]  # (clique rep, survivor rep)
-    cliques_after_rule1: tuple[tuple[int, ...], ...]  # original ids
-    tau: tuple[tuple[int, MegaType], ...]  # clique rep -> capped type counts
-    classes: tuple[Classes, ...] = ()  # per clique after Rule 1, its kept classes
+    x: tuple[int, ...] = ()  # kernel ids of the modulator vertices
+    kept: tuple[int, ...] = ()  # kept[i] = original id of kernel vertex i
+    deleted_cliques: tuple[tuple[int, int], ...] = ()  # (clique rep, survivor rep)
+    classes: tuple[Classes, ...] = ()  # Rule 1's record: per clique, (Y, kept, dropped) by Y
     twins: tuple[tuple[int, ...], ...] = ()  # kernel ids of the kernel's classes of 2+
     short_circuit: SolveOutcome | None = None
 
@@ -97,10 +92,21 @@ class KernelDecision:
     note: str = ""
 
 
+def _rep(cls: Classes) -> int:
+    """A clique's smallest member: first of its class, so kept by Rule 1."""
+    return min(vs[0] for _, vs, _ in cls)
+
+
+def _mega_type(cls: Classes) -> MegaType:
+    """A clique's kept count per modulator adjacency Y."""
+    return tuple((y, len(vs)) for y, vs, _ in cls)
+
+
 def provenance(inst: KernelInstance) -> list[str]:
     """One `dv <vertex> <clique-rep> <Y-bitmask>` line per twin deletion
     and one `dc <clique-rep> <survivor-rep>` line per clique deletion."""
-    lines = [f"dv {v} {rep} {y}" for v, rep, y in inst.deleted_vertices]
+    lines = [f"dv {v} {_rep(cls)} {y}"
+             for cls in inst.classes for y, _, dropped in cls for v in dropped]
     lines += [f"dc {rep} {srep}" for rep, srep in inst.deleted_cliques]
     return lines
 
@@ -142,56 +148,35 @@ def kernelize(g: Graph, m: Modulator, k: int, variant: str) -> KernelInstance:
     if k >= (d + 2 if variant == VARIANT_CN else 2 * d + 2):
         sc = _lemma1(g, x, cliques, variant)
         if sc.colors_used <= k:
-            return KernelInstance(
-                Graph(0), (), k, variant, (), (), (), (), (), short_circuit=sc
-            )
+            return KernelInstance(Graph(0), variant, short_circuit=sc)
 
     cap = rule1_cap(k, variant)
-    deleted_vertices: list[tuple[int, int, int]] = []
-    post1: list[tuple[int, ...]] = []
+    trimmed = False  # whether Rule 1 dropped a vertex
     classes: list[Classes] = []
-    tau: list[tuple[int, MegaType]] = []
-    groups: dict[MegaType, list[int]] = {}  # mega-type -> indices into post1
+    groups: dict[MegaType, list[int]] = {}  # mega-type -> indices into cliques
     for clique, types in zip(cliques, _types(g, x, cliques)):
-        rep = clique[0]  # the smallest member of its class, so never dropped
-        if len(clique) > cap and any(len(vs) > cap for _, vs in types):
-            for y, vs in types:
-                deleted_vertices.extend((v, rep, y) for v in vs[cap:])
-            types = tuple((y, vs[:cap]) for y, vs in types)
-            clique = tuple(sorted(v for _, vs in types for v in vs))
-        mt = tuple((y, len(vs)) for y, vs in types)  # the kept clique's per-type counts
-        groups.setdefault(mt, []).append(len(post1))
-        post1.append(clique)
-        classes.append(types)
-        tau.append((rep, mt))
+        trim = len(clique) > cap and any(len(vs) > cap for _, vs in types)
+        cls = tuple((y, vs[:cap], vs[cap:]) if trim else (y, vs, ()) for y, vs in types)
+        trimmed |= trim
+        groups.setdefault(_mega_type(cls), []).append(len(classes))
+        classes.append(cls)
 
     deleted_cliques: list[tuple[int, int]] = []
     kept_cliques: list[int] = []
     for group in groups.values():  # groups arrive ordered by first clique rep
         kept_cliques.extend(group[: d + 1])
-        deleted_cliques.extend((post1[i][0], post1[group[0]][0]) for i in group[d + 1 :])
+        deleted_cliques.extend((cliques[i][0], cliques[group[0]][0]) for i in group[d + 1 :])
 
-    twins = tuple(vs for i in kept_cliques for _, vs in classes[i] if len(vs) > 1)
-    if deleted_vertices or deleted_cliques:
-        kept = tuple(sorted(set(x) | {v for i in kept_cliques for v in post1[i]}))
+    twins = tuple(vs for i in kept_cliques for _, vs, _ in classes[i] if len(vs) > 1)
+    if trimmed or deleted_cliques:
+        kept = tuple(sorted(set(x).union(*(vs for i in kept_cliques for _, vs, _ in classes[i]))))
         kernel, relabel = induced_subgraph(g, kept)
         kernel_x = tuple(map(relabel.__getitem__, x))
         twins = tuple(tuple(map(relabel.__getitem__, vs)) for vs in twins)
     else:  # neither rule deleted a vertex: the kernel is g itself, in g's ids
         kept, kernel, kernel_x = tuple(range(g.n)), g, x
-    return KernelInstance(
-        kernel,
-        kernel_x,
-        k,
-        variant,
-        kept,
-        tuple(deleted_vertices),
-        tuple(deleted_cliques),
-        tuple(post1),
-        tuple(tau),
-        tuple(classes),
-        twins,
-    )
+    return KernelInstance(kernel, variant, kernel_x, kept, tuple(deleted_cliques),
+                          tuple(classes), twins)
 
 
 def _fill_twins(colors: list[int], kept: Sequence[int], dropped: Sequence[int],
@@ -216,15 +201,13 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
     colors = [0] * g.n
     for orig, c in zip(inst.kept, kernel_coloring.colors):
         colors[orig] = c
-    reps = [c[0] for c in inst.cliques_after_rule1]
-    classes_of = dict(zip(reps, inst.classes))
-    tau_by_rep = dict(inst.tau)
 
     # cliques providing the unique color of some modulator neighborhood
     # must not be copied; at most d are marked, and d+1 survivors of each
     # mega-type were kept
     marked: set[int] = set()
-    rep_of_vertex = {v: c[0] for c in inst.cliques_after_rule1 for v in c}
+    by_rep = {_rep(cls): cls for cls in inst.classes}
+    rep_of_vertex = {v: rep for rep, cls in by_rep.items() for _, vs, _ in cls for v in vs}
     kc = kernel_coloring.colors
     for xk in inst.x:
         nb = neighborhood(inst.graph, xk, inst.variant)
@@ -237,21 +220,23 @@ def _lift(g: Graph, inst: KernelInstance, kernel_coloring: Coloring) -> Coloring
             marked.add(rep_of_vertex[orig])
 
     deleted_reps = {rep for rep, _ in inst.deleted_cliques}
-    survivor: dict[MegaType, int] = {}  # the first unmarked kept clique per mega-type
-    for rep in reps:
+    survivor: dict[MegaType, Classes] = {}  # the first unmarked kept clique per mega-type
+    for rep, cls in by_rep.items():
         if rep not in deleted_reps and rep not in marked:
-            survivor.setdefault(tau_by_rep[rep], rep)
+            survivor.setdefault(_mega_type(cls), cls)
     for rep, _srep in inst.deleted_cliques:
-        kept_classes = classes_of[survivor[tau_by_rep[rep]]]
-        for (_, dvs), (_, svs) in zip(classes_of[rep], kept_classes):
+        cls = by_rep[rep]
+        for (_, dvs, _), (_, svs, _) in zip(cls, survivor[_mega_type(cls)]):
             for dv, sv in zip(dvs, svs):
                 colors[dv] = colors[sv]
 
     # a twin is in its own N[v] but not in its N(v), so under on a color
     # must be tripled among the kept twins to stay repeated in each of them
     need = 2 if inst.variant == VARIANT_CN else 3
-    for (rep, y), dropped in groupby(inst.deleted_vertices, key=itemgetter(1, 2)):
-        _fill_twins(colors, dict(classes_of[rep])[y], [v for v, _, _ in dropped], need)
+    for cls in inst.classes:
+        for _, vs, dropped in cls:
+            if dropped:
+                _fill_twins(colors, vs, dropped, need)
 
     return Coloring(g, tuple(colors))
 

@@ -13,8 +13,9 @@ import pytest
 import cfcolor
 from cfcolor.cli import build_parser, dispatch
 from cfcolor.coloring import VARIANT_CN, Coloring, parse_coloring, verify, write_coloring
-from cfcolor.fpt import kernelize, provenance
-from cfcolor.generators import random_graph, random_split, random_threshold
+from cfcolor.fpt import kernel_size_bound, kernelize, provenance
+from cfcolor.generators import (random_cluster_modulator_instance, random_graph, random_split,
+                                 random_threshold)
 from cfcolor.graph import Graph, parse_graph, write_graph
 from cfcolor.graphclasses import Modulator, is_bipartite, is_cograph, is_split
 from cfcolor.polysolve import SolveOutcome, solve_split_cfcn
@@ -468,6 +469,26 @@ def test_kernelize_artifacts(tmp_path, capsys):
     prov = (tmp_path / "p4.prov").read_text().strip()
     assert prov == "\n".join(provenance(inst)).strip()
     assert int(pairs["kernel_vertices"]) <= int(pairs["size_bound"])
+
+
+def test_kernelize_prints_a_large_size_bound_as_its_formula(tmp_path, capsys):
+    # at d = 13 and cap 3 the bound has 4938 digits, more than Python
+    # prints; the report gives its formula, and both artifacts are written
+    g, m = random_cluster_modulator_instance(40, 13, 1)
+    path = put(tmp_path, "g.cf", write_graph(g))
+    code, pairs, _ = run(capsys, "kernelize", "--variant", "cn", "--k", "2",
+                         "--modulator", ",".join(map(str, m.vertices)), path)
+    assert code == 0 and "error" not in pairs
+    assert pairs["size_bound"] == "13 + 4^(2^13) * 14 * 2^13 * 3"
+    inst = kernelize(g, m, 2, VARIANT_CN)
+    assert parse_graph((tmp_path / "g.kernel.cf").read_text()) == inst.graph
+    assert (tmp_path / "g.prov").read_text() == "\n".join(provenance(inst)) + "\n"
+    # below 4000 digits the bound stays an integer
+    g, m = random_cluster_modulator_instance(30, 12, 1)
+    path = put(tmp_path, "h.cf", write_graph(g))
+    code, pairs, _ = run(capsys, "kernelize", "--variant", "cn", "--k", "2",
+                         "--modulator", ",".join(map(str, m.vertices)), path)
+    assert code == 0 and int(pairs["size_bound"]) == kernel_size_bound(12, 2, VARIANT_CN)
 
 
 def test_kernelize_short_circuit(tmp_path, capsys):

@@ -41,6 +41,19 @@ STAR6 = Graph(6, [(0, i) for i in range(1, 6)])
 P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
+def _rule1_records(inst):
+    """Rule 1's outcome in the three forms derived from `inst.classes`:
+    the dropped twins as (v, clique rep, Y), each clique's kept members,
+    and each clique's rep with its kept count per Y (its mega-type)."""
+    reps = [min(vs[0] for _, vs, _ in cls) for cls in inst.classes]
+    deleted = tuple((v, rep, y) for rep, cls in zip(reps, inst.classes)
+                    for y, _, dropped in cls for v in dropped)
+    cliques = tuple(tuple(sorted(v for _, vs, _ in cls for v in vs)) for cls in inst.classes)
+    tau = tuple((rep, tuple((y, len(vs)) for y, vs, _ in cls))
+                for rep, cls in zip(reps, inst.classes))
+    return deleted, cliques, tau
+
+
 # --- type partitions -------------------------------------------------------
 
 def test_types_split_by_modulator_adjacency():
@@ -94,7 +107,7 @@ def test_twin_rule_on_complete_graph():
     assert inst.kept == (0, 1, 2, 10)
     assert inst.graph.n == 4 and inst.graph.m == 6
     assert inst.x == (3,)
-    assert inst.deleted_vertices == tuple((v, 0, 1) for v in range(3, 10))
+    assert _rule1_records(inst)[0] == tuple((v, 0, 1) for v in range(3, 10))
     assert inst.deleted_cliques == ()
     inst_on = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_ON)
     assert inst_on.graph.n == 6  # open cap is 2k+1 = 5
@@ -104,8 +117,9 @@ def test_clique_rule_on_star():
     inst = kernelize(STAR6, Modulator((0,), "cluster"), 2, VARIANT_CN)
     assert inst.kept == (0, 1, 2)
     assert inst.deleted_cliques == ((3, 1), (4, 1), (5, 1))
-    assert inst.cliques_after_rule1 == ((1,), (2,), (3,), (4,), (5,))
-    assert dict(inst.tau)[1] == ((1, 1),)
+    _, cliques, tau = _rule1_records(inst)
+    assert cliques == ((1,), (2,), (3,), (4,), (5,))
+    assert dict(tau)[1] == ((1, 1),)
 
 
 def test_provenance_lines():
@@ -114,6 +128,28 @@ def test_provenance_lines():
     assert lines == ["dc 3 1", "dc 4 1", "dc 5 1"]
     inst2 = kernelize(K11, Modulator((10,), "cluster"), 2, VARIANT_CN)
     assert all(re.fullmatch(r"dv \d+ \d+ \d+", l) for l in provenance(inst2))
+
+
+def test_clique_rule_deletes_a_trimmed_clique():
+    # one modulator vertex adjacent to all of three K5s: under cn at k = 2
+    # Rule 1 keeps 3 of each K5, and Rule 2 keeps d+1 = 2 of the three
+    # now alike cliques, so it deletes a clique Rule 1 already trimmed
+    edges = [(u, v) for b in (0, 5, 10) for u in range(b, b + 5) for v in range(u + 1, b + 5)]
+    g = Graph(16, edges + [(v, 15) for v in range(15)])
+    m = Modulator((15,), "cluster")
+    inst = kernelize(g, m, 2, VARIANT_CN)
+    assert inst.classes[2] == ((1, (10, 11, 12), (13, 14)),)
+    assert inst.kept == (0, 1, 2, 5, 6, 7, 15)
+    assert provenance(inst) == ["dv 3 0 1", "dv 4 0 1", "dv 8 5 1", "dv 9 5 1",
+                                "dv 13 10 1", "dv 14 10 1", "dc 10 0"]
+    dec = solve_via_kernel(g, m, 2, VARIANT_CN)
+    assert dec.note == "lifted kernel witness" and verify(dec.witness, VARIANT_CN)
+    assert dec.witness.colors == (1,) * 15 + (0,)
+    # under on at k = 3 Rule 1 keeps all five, and the deleted clique
+    # copies a survivor that is not the modulator's provider
+    dec = solve_via_kernel(g, m, 3, VARIANT_ON)
+    assert provenance(dec.kernel) == ["dc 10 0"] and verify(dec.witness, VARIANT_ON)
+    assert dec.witness.colors == (2, 0, 0, 0, 1) + (1,) * 10 + (0,)
 
 
 def test_reduce_is_deterministic():
@@ -167,7 +203,7 @@ def test_reduce_errors():
     # the empty graph is no error: its kernel is itself, with no deletions
     empty = Graph(0)
     inst = kernelize(empty, Modulator((), "cluster"), 1, VARIANT_CN)
-    assert (inst.graph, inst.short_circuit, inst.deleted_vertices, inst.deleted_cliques) == (
+    assert (inst.graph, inst.short_circuit, _rule1_records(inst)[0], inst.deleted_cliques) == (
         empty, None, (), ())
 
 
@@ -329,7 +365,7 @@ def test_kernel_of_the_whole_graph_is_verified_once(monkeypatch):
                 inst = kernelize(g, m, k, variant)
                 if inst.short_circuit is not None:
                     continue
-                whole = not inst.deleted_vertices and not inst.deleted_cliques
+                whole = not _rule1_records(inst)[0] and not inst.deleted_cliques
                 assert (inst.graph is g) == whole
                 calls.clear()
                 dec = solve_via_kernel(g, m, k, variant, limit=None)
@@ -411,7 +447,8 @@ def test_approx_bounds_random(d):
 
 def test_kernel_and_approx_outputs_pinned():
     # sha256 over repr of every kernel decision (answer, witness, note, the
-    # kernel's size, kept/x/deletion records, tau and provenance) or its
+    # kernel's size, kept/x/deletion records, tau and provenance; the records
+    # and tau as `_rule1_records` derives them from the classes) or its
     # ValueError message on 60 planted cluster-modulator instances, all k up
     # to the constructive threshold, then of both approximations on 60
     # planted threshold-modulator instances: any change to an output shows.
@@ -430,10 +467,11 @@ def test_kernel_and_approx_outputs_pinned():
                     h.update(repr(str(exc)).encode())
                     continue
                 inst = dec.kernel
+                deleted, cliques, tau = _rule1_records(inst)
                 h.update(repr((
                     dec.yes, dec.witness.colors if dec.witness else None, dec.note,
-                    inst.graph.n, inst.kept, inst.x, inst.deleted_vertices,
-                    inst.deleted_cliques, inst.cliques_after_rule1, inst.tau,
+                    inst.graph.n, inst.kept, inst.x, deleted,
+                    inst.deleted_cliques, cliques, tau,
                     provenance(inst),
                 )).encode())
     for s in range(60):
@@ -461,12 +499,15 @@ def _twin_class_cases():
 
 
 def test_kernel_classes_are_twin_classes():
-    # the classes kernelize carries partition each clique after Rule 1
-    # into true twins of g; those it hands the search are disjoint, have
-    # two or more members, and are true twins of the kernel graph
+    # the classes kernelize carries partition each residual clique into
+    # true twins of g, each split into its smallest members up to the cap
+    # (kept) and the rest (dropped); those it hands the search are
+    # disjoint, have two or more members, and are true twins of the
+    # kernel graph
     searched = 0
     for g, m in _twin_class_cases():
         d = len(m.vertices)
+        _, cliques = _residual(g, m, "cluster")
         for variant, top in ((VARIANT_CN, d + 2), (VARIANT_ON, 2 * d + 2)):
             if variant == VARIANT_ON and not all(map(g.degree, range(g.n))):
                 continue
@@ -474,10 +515,13 @@ def test_kernel_classes_are_twin_classes():
                 inst = kernelize(g, m, k, variant)
                 if inst.short_circuit is not None:
                     continue
-                assert len(inst.classes) == len(inst.cliques_after_rule1)
-                for clique, classes in zip(inst.cliques_after_rule1, inst.classes):
-                    assert sorted(v for _, vs in classes for v in vs) == list(clique)
-                    assert all(len({g.closed_neighbors(v) for v in vs}) == 1 for _, vs in classes)
+                cap = rule1_cap(k, variant)
+                assert len(inst.classes) == len(cliques)
+                for clique, classes in zip(cliques, inst.classes):
+                    full = [(*vs, *dropped) for _, vs, dropped in classes]
+                    assert sorted(v for vs in full for v in vs) == list(clique)
+                    assert all(len({g.closed_neighbors(v) for v in vs}) == 1 for vs in full)
+                    assert all(vs == cls[:cap] for (_, vs, _), cls in zip(classes, full))
                 members = [v for cls in inst.twins for v in cls]
                 assert len(members) == len(set(members))
                 for cls in inst.twins:

@@ -11,8 +11,6 @@ from cfcolor.graph import Graph, SizeGuardError
 from cfcolor.coloring import Coloring, SelfCheckError, VerifyResult, verify_cfon
 from cfcolor.graphclasses import is_split
 from cfcolor.hardness import (
-    CrossReport,
-    GadgetInstance,
     cross_validate,
     decode,
     encode,

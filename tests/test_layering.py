@@ -1,6 +1,7 @@
 """Module layering: the verifier's module and the modules below the
-solvers import no solver, recognizer or front end; and the package
-ships no public function or class that only the tests call.
+solvers import no solver, recognizer or front end; the package ships no
+public function or class that only the tests call; and no test module
+keeps an import it never reads.
 
 `coloring` holds the rules every solver shares (feasibility, the
 self-check, the checked outcome), so `oracle`, `interval` and
@@ -16,7 +17,8 @@ import pytest
 import cfcolor
 
 PACKAGE = Path(cfcolor.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 LOWER = ("coloring", "graph", "oracle", "interval", "hardness")
 UPPER = ("polysolve", "graphclasses", "fpt", "cli")
 
@@ -101,3 +103,21 @@ def test_every_public_definition_is_used_outside_the_tests():
             used |= names
     unused = sorted(f"{module}.{name}" for module, name in defined if name not in used)
     assert not unused, f"named only by the tests: {', '.join(unused)}"
+
+
+def test_test_modules_read_every_import():
+    # a top-level import that no name in its test module reads is dead;
+    # `from __future__` imports switch on features and are exempt
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused, f"imported and never read: {', '.join(unused)}"

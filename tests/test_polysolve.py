@@ -3,7 +3,6 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
 
 import cfcolor.polysolve as polysolve_module
 from cfcolor.graph import Graph
