@@ -407,13 +407,18 @@ def _size_bound(d: int, k: int, variant: str) -> int | str:
     """`kernel_size_bound`, or its formula with the numbers filled in
     when the integer would pass 4000 digits, past which Python refuses
     to print it.  The digits are estimated from logarithms before any
-    power is taken: around d = 30 the power alone needs 2^(d+1) bits."""
+    power is taken: around d = 30 the power alone needs 2^(d+1) bits.
+    A cap itself past 4000 digits is written as its formula in k."""
     cap = rule1_cap(k, variant)
     # beyond d = 64 the leading term alone is far past the limit
     digits = (2.0 ** min(d, 64) * math.log10(cap + 1)
               + math.log10((d + 1) * cap) + d * math.log10(2))
     if digits > 4000:
-        return f"{d} + {cap + 1}^(2^{d}) * {d + 1} * 2^{d} * {cap}"
+        if math.log10(cap) <= 4000:
+            c, c1 = cap, cap + 1
+        else:
+            c, c1 = ("(k+1)", "(k+2)") if variant == VARIANT_CN else ("(2k+1)", "(2k+2)")
+        return f"{d} + {c1}^(2^{d}) * {d + 1} * 2^{d} * {c}"
     return kernel_size_bound(d, k, variant)
 
 

@@ -7,11 +7,25 @@ certificate alongside the graph: the clique list for cluster graphs,
 the creation sequence for threshold graphs, the partition for split
 graphs, the interval representation for interval graphs, and the
 modulator for modulator-composed instances.
+
+Each graph but the interval one (which `graph_from_representation`
+builds from its intersecting pairs) is built once, from neighbour lists
+that the construction keeps sorted, and wrapped with `Graph._trusted`;
+no edge list is made or checked.  A modulator instance appends X's
+edges to the residual's lists (X's ids exceed every residual id) and
+patches connectivity after one component pass: each component without
+X's first vertex, smallest member first, gets one edge to it.  Joining
+a component to X never reorders the others, so this draws what a
+rebuild after every patch would.  On 2 shared cores with Python 3.11.7
+this took `random_threshold(2000, 1)` from 393 to 44 ms,
+`random_threshold_modulator_instance(1000, 3, 1)` from 189 to 25 ms and
+`random_cluster_modulator_instance(1000, 3, 1)` from 67 to 12 ms.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from fractions import Fraction
 
 from .graph import Graph, connected_components, is_connected
@@ -19,25 +33,40 @@ from .graphclasses import Modulator, SplitPartition
 from .interval import IntervalRepresentation, graph_from_representation
 
 
+def _graph(adj: list[list[int]]) -> Graph:
+    """The graph of neighbour lists the caller built sorted and symmetric."""
+    return Graph._trusted(tuple(map(tuple, adj)))
+
+
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u].append(v)
+                adj[v].append(u)
+    return _graph(adj)
+
+
+def _clique_blocks(sizes: tuple[int, ...] | list[int]) -> tuple[list[list[int]], tuple[tuple[int, ...], ...]]:
+    """Neighbour lists of disjoint cliques on consecutive vertex blocks,
+    and the blocks."""
+    adj: list[list[int]] = []
+    cliques = []
+    for s in sizes:
+        block = list(range(len(adj), len(adj) + s))
+        cliques.append(tuple(block))
+        adj.extend(block[:i] + block[i + 1:] for i in range(s))
+    return adj, tuple(cliques)
 
 
 def cluster_graph(clique_sizes: tuple[int, ...]) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """Disjoint cliques of the given sizes on consecutive vertex blocks."""
     if any(s < 1 for s in clique_sizes):
         raise ValueError("clique sizes must be positive")
-    edges = []
-    cliques = []
-    start = 0
-    for s in clique_sizes:
-        block = tuple(range(start, start + s))
-        cliques.append(block)
-        edges.extend((u, v) for u in block for v in block if u < v)
-        start += s
-    return Graph(start, edges), tuple(cliques)
+    adj, cliques = _clique_blocks(clique_sizes)
+    return _graph(adj), cliques
 
 
 def _random_composition(total: int, rng: random.Random) -> list[int]:
@@ -66,7 +95,7 @@ def random_threshold(n: int, seed: int, connected: bool = True) -> tuple[Graph, 
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     creation: list[tuple[int, str]] = [(0, "isolated")]
-    edges = []
+    universal: list[int] = []
     for v in range(1, n):
         if connected and v == n - 1:
             kind = "universal"
@@ -74,8 +103,18 @@ def random_threshold(n: int, seed: int, connected: bool = True) -> tuple[Graph, 
             kind = rng.choice(("isolated", "universal"))
         creation.append((v, kind))
         if kind == "universal":
-            edges.extend((u, v) for u in range(v))
-    return Graph(n, edges), tuple(creation)
+            universal.append(v)
+    # v meets the universal vertices after it, and a universal v also
+    # every vertex before it
+    adj = []
+    later = 0  # universal[later:] are the universal vertices after v
+    for v in range(n):
+        if later < len(universal) and universal[later] == v:
+            later += 1
+            adj.append((*range(v), *universal[later:]))
+        else:
+            adj.append(tuple(universal[later:]))
+    return Graph._trusted(tuple(adj)), tuple(creation)
 
 
 def random_split(n: int, seed: int) -> tuple[Graph, SplitPartition]:
@@ -83,12 +122,13 @@ def random_split(n: int, seed: int) -> tuple[Graph, SplitPartition]:
         raise ValueError("need n >= 1")
     rng = random.Random(seed)
     a = rng.randint(1, n)
-    edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+    adj, _ = _clique_blocks((a,))
     for w in range(a, n):
-        for u in range(a):
-            if rng.random() < 0.5:
-                edges.append((u, w))
-    return Graph(n, edges), SplitPartition(tuple(range(a)), tuple(range(a, n)))
+        nb = [u for u in range(a) if rng.random() < 0.5]
+        for u in nb:
+            adj[u].append(w)
+        adj.append(nb)
+    return _graph(adj), SplitPartition(tuple(range(a)), tuple(range(a, n)))
 
 
 def random_interval_instance(n: int, seed: int) -> tuple[Graph, IntervalRepresentation]:
@@ -123,24 +163,32 @@ def random_interval_instance(n: int, seed: int) -> tuple[Graph, IntervalRepresen
     return g, rep
 
 
-def _attach_and_connect(
-    n: int, edges: list[tuple[int, int]], x_vertices: range, rng: random.Random, p: float
-) -> Graph:
-    """Add random modulator-incident edges, then patch connectivity with
-    further modulator-incident edges only (the residual is never touched)."""
+def _attach_and_connect(adj: list[list[int]], d: int, rng: random.Random, p: float) -> Graph:
+    """Append d modulator vertices to the residual's sorted neighbour
+    lists, add random modulator-incident edges, then patch connectivity
+    with further modulator-incident edges only (the residual is never
+    touched)."""
+    x_vertices = range(len(adj), len(adj) + d)
     for xv in x_vertices:
+        nb = []
         for u in range(xv):
             if rng.random() < p:
-                edges.append((u, xv))
-    g = Graph(n, edges)
-    while not is_connected(g):
-        comps = connected_components(g)
-        xv = x_vertices[0]
-        foreign = next(c for c in comps if xv not in c)
-        target = rng.choice(sorted(foreign))
-        edges.append((min(xv, target), max(xv, target)))
-        g = Graph(n, edges)
-    return g
+                adj[u].append(xv)
+                nb.append(u)
+        adj.append(nb)
+    g = _graph(adj)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return g
+    xv = x_vertices[0]
+    for comp in comps:
+        if xv not in comp:
+            target = rng.choice(comp)
+            # the target may lie below a modulator vertex already in
+            # xv's list, and xv below one in the target's
+            insort(adj[xv], target)
+            insort(adj[target], xv)
+    return _graph(adj)
 
 
 def random_cluster_modulator_instance(n: int, d: int, seed: int) -> tuple[Graph, Modulator]:
@@ -153,12 +201,8 @@ def random_cluster_modulator_instance(n: int, d: int, seed: int) -> tuple[Graph,
         sizes = [n_res]  # single clique, else the graph cannot be connected
     else:
         sizes = _random_composition(n_res, rng) if n_res else []
-    edges = []
-    start = 0
-    for s in sizes:
-        edges.extend((u, v) for u in range(start, start + s) for v in range(u + 1, start + s))
-        start += s
-    g = _attach_and_connect(n, edges, range(n_res, n), rng, 0.4) if d else Graph(n, edges)
+    adj, _ = _clique_blocks(sizes)
+    g = _attach_and_connect(adj, d, rng, 0.4) if d else _graph(adj)
     return g, Modulator(tuple(range(n_res, n)), "cluster")
 
 
@@ -172,6 +216,5 @@ def random_threshold_modulator_instance(n: int, d: int, seed: int) -> tuple[Grap
     if n_res == 0:
         raise ValueError("residual must be nonempty")
     residual, _ = random_threshold(n_res, rng.randrange(2**30), connected=True)
-    edges = list(residual.edges)
-    g = _attach_and_connect(n, edges, range(n_res, n), rng, 0.4) if d else residual
+    g = _attach_and_connect(list(map(list, residual._adj)), d, rng, 0.4) if d else residual
     return g, Modulator(tuple(range(n_res, n)), "threshold")

@@ -491,6 +491,23 @@ def test_kernelize_prints_a_large_size_bound_as_its_formula(tmp_path, capsys):
     assert code == 0 and int(pairs["size_bound"]) == kernel_size_bound(12, 2, VARIANT_CN)
 
 
+@pytest.mark.parametrize("variant,bound", [
+    ("cn", "1 + (k+2)^(2^1) * 2 * 2^1 * (k+1)"),
+    ("on", "1 + (2k+2)^(2^1) * 2 * 2^1 * (2k+1)"),
+])
+def test_kernelize_huge_k_prints_the_cap_as_a_formula(tmp_path, capsys, variant, bound):
+    # a k of 4300 digits gives a cap past the digits Python prints: the
+    # size bound names it by formula, and every artifact is written
+    g = put(tmp_path, "p4.cf", P4)
+    code, pairs, _ = run(capsys, "kernelize", "--variant", variant, "--k", "9" * 4300,
+                         "--modulator", "1", g)
+    assert code == 0 and "error" not in pairs
+    assert pairs["size_bound"] == bound
+    names = {p.name for p in tmp_path.iterdir()}
+    assert {"p4.kernel.cf", "p4.prov", f"p4.{variant}.col"} <= names
+    assert pairs["witness_file"] == str(tmp_path / f"p4.{variant}.col")
+
+
 def test_kernelize_short_circuit(tmp_path, capsys):
     g = put(tmp_path, "k3.cf", K3)
     code, pairs, _ = run(capsys, "kernelize", "--variant", "cn", "--k", "2",

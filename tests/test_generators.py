@@ -1,5 +1,7 @@
 """Generators: determinism, certificate validity, exhaustive enumeration."""
 
+import hashlib
+
 import pytest
 
 from cfcolor.graph import Graph, is_connected
@@ -227,3 +229,39 @@ def test_enumeration_range_errors():
         enumerate_small(8)
     with pytest.raises(ValueError):
         connected_split_graphs(9)
+
+
+# --- output pin --------------------------------------------------------------
+
+def _pinned_outputs():
+    """Every generator that builds its graph from neighbour lists, on n
+    0..45, d 0..6 and seeds 0..9, as (call, graph, certificate)."""
+    for n in range(46):
+        for seed in range(10):
+            yield ("random_graph", n, seed), random_graph(n, 0.3, seed), None
+            yield ("random_cluster", n, seed), *random_cluster(n, seed)
+            sizes = tuple(1 + (n + i) % (seed + 1) for i in range(n // 4))
+            yield ("cluster_graph", sizes), *cluster_graph(sizes)
+            if n:
+                for connected in (True, False):
+                    yield (("random_threshold", n, seed, connected),
+                           *random_threshold(n, seed, connected))
+                yield ("random_split", n, seed), *random_split(n, seed)
+            for d in range(min(n, 6) + 1):
+                yield (("random_cluster_modulator_instance", n, d, seed),
+                       *random_cluster_modulator_instance(n, d, seed))
+                if d < n:
+                    yield (("random_threshold_modulator_instance", n, d, seed),
+                           *random_threshold_modulator_instance(n, d, seed))
+
+
+def test_generator_outputs_pinned():
+    # a sha256 of every (adjacency, certificate) pair: a change to how a
+    # generator builds its graph must draw the same numbers in the same
+    # order and give the same graph; each graph also equals the one the
+    # validating constructor builds from its edge list
+    digest = hashlib.sha256()
+    for call, g, certificate in _pinned_outputs():
+        assert g == Graph(g.n, g.edges), call
+        digest.update(repr((g._adj, certificate)).encode())
+    assert digest.hexdigest() == "4d09824a61b69eb16ca6a8f21ba59f76905c1dc55a44fc119576e4f5b7e6ad74"
