@@ -59,6 +59,14 @@ def _dist_name(project):
     return f"{_file_name(project)}-{project['version']}"
 
 
+def _with_extra(dep, extra):
+    """`dep` with the marker `extra == "<extra>"`, joined with the
+    dependency's own marker, if it has one, by `and`."""
+    requirement, _, marker = dep.partition(";")
+    own = f"({marker.strip()}) and " if marker.strip() else ""
+    return f'{requirement.strip()}; {own}extra == "{extra}"'
+
+
 def _metadata(project):
     lines = [
         "Metadata-Version: 2.1",
@@ -72,7 +80,7 @@ def _metadata(project):
     lines += [f"Requires-Dist: {dep}" for dep in project.get("dependencies", [])]
     for extra, deps in project.get("optional-dependencies", {}).items():
         lines.append(f"Provides-Extra: {extra}")
-        lines += [f'Requires-Dist: {dep}; extra == "{extra}"' for dep in deps]
+        lines += [f"Requires-Dist: {_with_extra(dep, extra)}" for dep in deps]
     body = ""
     if "readme" in project:
         readme = project["readme"]

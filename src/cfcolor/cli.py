@@ -23,21 +23,10 @@ graph is, the readers reject them as a format error.  `--out` must end
 in a file name: `.`, `..` and `/` are refused by the parser, exit 2,
 before the input is read.
 
-`solve` goes through one ordered table of constructive strategies.  An
-entry is (the refusal under --variant on, or None when it handles on;
-an applicability test returning (ok, certificate); the refusal when the
-test says no; a runner taking the graph, the certificate and the
-variant).  `--strategy X` and `--strategy auto` run the same loop over
-it: X's entry alone, or every entry in order.  A check that fails
-refuses an explicit strategy (exit 2) and, under `auto`, moves on to the
-next entry.  The `auto` order is split CF-CN, bipartite CF-CN, cograph,
-interval when a representation is supplied, then the smaller computed
-modulator (cluster -> lemma1 few-color bound, threshold -> additive
-approximation; ties prefer cluster, so the threshold search runs only
-below the cluster modulator's size); otherwise the exact oracle when
-the instance fits under the guard, otherwise refusal.  `fpt` decides
-rather than constructs and is its own branch.  `solve`, `oracle` and
-`kernelize` report an infeasible CF-ON instance the same way, exit 1.
+`solve` hands a feasible graph to `ladder.solve`, the `auto` ladder;
+`fpt` decides rather than constructs and is its own branch.  `solve`,
+`oracle` and `kernelize` report an infeasible CF-ON instance the same
+way, exit 1.
 
 `recognize` and `gen` call the library's recognizers and generators
 directly, each through one table walked once.  `_RECOGNIZERS` maps each
@@ -47,7 +36,7 @@ returned, so a non-cograph shows its prime tree.  `_GENERATORS` maps
 each `--class` to its generator call and its certificate's lines for
 `<stem>.cert`; interval's certificate, its representation, goes to
 `<stem>.ivl` instead.  The `--class` choices are the table's keys, as
-the `--strategy` choices are `_STRATEGIES`'.
+the `--strategy` choices are `ladder.STRATEGIES`'.
 """
 
 from __future__ import annotations
@@ -65,37 +54,14 @@ from pathlib import Path
 
 from . import __version__
 from .graph import Graph, GraphFormatError, SizeGuardError, parse_graph, write_graph
-from .coloring import (EXACT, INFEASIBLE, VARIANT_CN, VARIANTS, Coloring, SelfCheckError,
-                       SolveOutcome, checked, feasible, parse_coloring, verify, write_coloring)
+from .coloring import (INFEASIBLE, VARIANT_CN, VARIANTS, Coloring, SelfCheckError, checked,
+                       feasible, parse_coloring, verify, write_coloring)
 from .oracle import DEFAULT_LIMIT, decide_cf, exact_cf
-from .graphclasses import (
-    MDNode,
-    Modulator,
-    cluster_modulator,
-    is_bipartite,
-    is_cluster,
-    is_cograph,
-    is_split,
-    is_threshold,
-    threshold_modulator,
-)
-from .polysolve import (
-    lemma1_cfcn,
-    lemma1_cfon,
-    solve_bipartite_cfcn,
-    solve_cograph,
-    solve_split_cfcn,
-)
-from .interval import parse_intervals, write_intervals, cfcn_interval, cfon_interval
-from .fpt import (
-    approx_cfcn_threshold,
-    approx_cfon_threshold,
-    kernel_size_bound,
-    kernelize,
-    provenance,
-    rule1_cap,
-    solve_via_kernel,
-)
+from .graphclasses import (MDNode, Modulator, is_bipartite, is_cluster, is_cograph, is_split,
+                           is_threshold)
+from .interval import parse_intervals, write_intervals
+from .fpt import kernel_size_bound, kernelize, provenance, rule1_cap, solve_via_kernel
+from .ladder import DEFAULT_BUDGET, STRATEGIES, find_modulator, solve
 from .hardness import cross_validate, encode
 from .generators import (
     cluster_graph,
@@ -106,9 +72,6 @@ from .generators import (
     random_threshold,
     random_threshold_modulator_instance,
 )
-
-DEFAULT_BUDGET = 6
-
 
 @dataclass
 class RunReport:
@@ -201,19 +164,12 @@ def _tree_sexp(node: MDNode) -> str:
     return " ".join(tokens)
 
 
-def _find_modulator(g: Graph, residual: str, budget: int) -> Modulator | None:
-    """The searched modulator of the `residual` class; the finder is
-    looked up when this runs, not bound at import."""
-    finder = cluster_modulator if residual == "cluster" else threshold_modulator
-    return finder(g, budget)
-
-
 def _parse_modulator(g: Graph, spec: str, residual: str, budget: int, report: RunReport) -> Modulator:
     """`auto` searches within the budget; otherwise a comma-separated
     vertex list is trusted (the solvers re-validate the residual).  The
     modulator goes into the report."""
     if spec == "auto":
-        m = _find_modulator(g, residual, budget)
+        m = find_modulator(g, residual, budget)
         if m is None:
             raise ValueError(f"no {residual} modulator of size <= {budget}")
     else:
@@ -265,71 +221,6 @@ def _cmd_oracle(args, report: RunReport) -> int:
     return _emit_coloring(args, result.witness, report, "witness_file")
 
 
-# The constructive strategies in `auto` ladder order: name -> (refusal
-# under --variant on or None, applies(g, rep, modulator) -> (ok,
-# certificate), refusal, runner(g, certificate, variant)); `modulator`
-# takes the residual class.  The lambdas name their recognizers and
-# solvers in their bodies, so those are looked up when they run.
-_STRATEGIES = {
-    "split": ("the split strategy handles only --variant cn; the open variant on split graphs"
-              " is as hard as graph coloring (see gadget)",
-              lambda g, rep, mod: is_split(g), "the graph is not split",
-              lambda g, cert, v: solve_split_cfcn(g, cert)),
-    "bipartite": ("the bipartite strategy handles only --variant cn",
-                  lambda g, rep, mod: is_bipartite(g), "the graph is not bipartite",
-                  lambda g, cert, v: solve_bipartite_cfcn(g, cert)),
-    "cograph": (None, lambda g, rep, mod: is_cograph(g), "the graph is not a cograph",
-                lambda g, cert, v: solve_cograph(g, cert, v)),
-    "interval": (None, lambda g, rep, mod: (rep is not None, rep),
-                 "the interval strategy needs --intervals",
-                 lambda g, cert, v: (cfcn_interval if v == VARIANT_CN else cfon_interval)(g, cert)),
-    "lemma1": (None, lambda g, rep, mod: mod("cluster"), None,
-               lambda g, cert, v: (lemma1_cfcn if v == VARIANT_CN else lemma1_cfon)(g, cert)),
-    "approx": (None, lambda g, rep, mod: mod("threshold"), None, lambda g, cert, v: (
-        approx_cfcn_threshold if v == VARIANT_CN else approx_cfon_threshold)(g, cert)),
-}
-
-
-def _solve(g: Graph, args, rep, limit, report: RunReport) -> tuple[str, SolveOutcome]:
-    """Walk the table, over the --strategy entry alone or, under `auto`,
-    over every entry: an entry that does not apply raises its refusal
-    when named and is skipped under `auto`.  The oracle comes last."""
-    auto = args.strategy == "auto"
-
-    @functools.cache
-    def smallest():  # the smaller modulator, ties prefer cluster; searched once
-        cluster = cluster_modulator(g, args.budget)
-        if cluster is not None and not cluster.vertices:
-            return cluster
-        # only a strictly smaller threshold modulator can win
-        threshold = threshold_modulator(
-            g, args.budget if cluster is None else len(cluster.vertices) - 1)
-        return threshold if threshold is not None else cluster
-
-    def modulator(residual: str):
-        """Under `auto`, whether `smallest()` is of the residual class;
-        a named lemma1 or approx reads --modulator and reports it."""
-        if auto:
-            m = smallest()
-            return m is not None and m.residual_class == residual, m
-        return True, _parse_modulator(g, args.modulator, residual, args.budget, report)
-
-    for name in _STRATEGIES if auto else [n for n in _STRATEGIES if n == args.strategy]:
-        on_refusal, applies, refusal, runner = _STRATEGIES[name]
-        wrong_variant = on_refusal is not None and args.variant != VARIANT_CN
-        ok, cert = (False, None) if wrong_variant else applies(g, rep, modulator)
-        if ok:
-            return name, runner(g, cert, args.variant)
-        if not auto:
-            raise ValueError(on_refusal if wrong_variant else refusal)
-    if auto and limit is not None and g.n > limit:
-        raise SizeGuardError(
-            f"no polynomial strategy applies and {g.n} vertices exceed the oracle guard ({limit})"
-        )
-    result = exact_cf(g, args.variant, limit=limit)
-    return "oracle", SolveOutcome(result.witness, result.chromatic, EXACT, "exhaustive search")
-
-
 def _cmd_solve(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
     rep = (parse_intervals(_read_input(args.intervals, "input_intervals", report), g.n)
@@ -352,7 +243,10 @@ def _cmd_solve(args, report: RunReport) -> int:
         report.add("colors_used", decision.witness.num_colors)
         return _emit_coloring(args, decision.witness, report, "coloring_file")
 
-    strategy, outcome = _solve(g, args, rep, limit, report)
+    residual = {"lemma1": "cluster", "approx": "threshold"}.get(args.strategy)  # reads --modulator
+    m = residual and _parse_modulator(g, args.modulator, residual, args.budget, report)
+    strategy, outcome = solve(g, args.variant, args.strategy, intervals=rep, modulator=m,
+                              budget=args.budget, limit=limit)
     # free for a coloring its solver already checked (the verdict is kept
     # on the coloring); a solver that skipped its check is caught here
     checked(outcome.coloring, args.variant, "re-verification")
@@ -393,7 +287,7 @@ def _cmd_recognize(args, report: RunReport) -> int:
 
 def _cmd_modulator(args, report: RunReport) -> int:
     g = _load_graph(args.graph, report)
-    m = _find_modulator(g, args.klass, args.budget)
+    m = find_modulator(g, args.klass, args.budget)
     if m is None:
         report.add("modulator", "none")
         return 1
@@ -557,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, limit=True, out=True)
     p.add_argument(
         "--strategy",
-        choices=("auto", *_STRATEGIES, "fpt", "oracle"),
+        choices=("auto", *STRATEGIES, "fpt", "oracle"),
         default="auto",
     )
     p.add_argument("--intervals", help="interval representation file (interval strategy)")

@@ -8,10 +8,10 @@ the creation sequence for threshold graphs, the partition for split
 graphs, the interval representation for interval graphs, and the
 modulator for modulator-composed instances.
 
-Each graph but the interval one (which `graph_from_representation`
-builds from its intersecting pairs) is built once, from neighbour lists
-that the construction keeps sorted, and wrapped with `Graph._trusted`;
-no edge list is made or checked.  A modulator instance appends X's
+Each graph is built once, from neighbour lists that the construction
+keeps sorted (the interval one from `graph_from_representation`'s
+sweep), and wrapped with `Graph._trusted`; no edge list is made or
+checked.  A modulator instance appends X's
 edges to the residual's lists (X's ids exceed every residual id) and
 patches connectivity after one component pass: each component without
 X's first vertex, smallest member first, gets one edge to it.  Joining

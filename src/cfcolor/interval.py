@@ -19,6 +19,8 @@ has its intersecting pairs listed, by one sweep over the sorted
 endpoints (at each left endpoint, the intervals still open are exactly
 the new interval's partners), so that the verdict can name the
 lexicographically smallest pair on which they differ from the graph.
+`graph_from_representation` builds the graph from the same sweep's
+sorted partner lists.
 
 The sweep processes intervals by increasing left endpoint and colors an
 as-yet-uncolored interval together with a chain of at most two
@@ -128,24 +130,29 @@ def _integer_endpoints(rep: IntervalRepresentation) -> tuple[list[int], list[int
     return ints[0::2], ints[1::2]
 
 
-def _intersecting_pairs(left: list[int], right: list[int]) -> set[tuple[int, int]]:
-    """Every (u, v), u < v, whose closed intervals meet, by one sweep
-    over the sorted endpoints.  At a left endpoint the intervals still
-    open are exactly the ones that meet the new interval, so the sweep
-    costs O(n log n) plus the number of pairs.  At a tie left endpoints
-    come first, so intervals that touch meet; an interval with l > r
-    meets nothing."""
+def _partners(left: list[int], right: list[int]) -> list[list[int]]:
+    """Each vertex's partners, the vertices whose closed intervals meet
+    its own, in increasing order, by one sweep over the sorted
+    endpoints.  At a left endpoint the intervals still open are exactly
+    the ones that meet the new interval, so the sweep costs O(n log n)
+    plus the sorting of the partner lists.  At a tie left endpoints come
+    first, so intervals that touch meet; an interval with l > r meets
+    nothing."""
     events = sorted((x, side, v) for v, (l, r) in enumerate(zip(left, right)) if l <= r
                     for side, x in ((0, l), (1, r)))
     open_: set[int] = set()
-    pairs: set[tuple[int, int]] = set()
+    partners: list[list[int]] = [[] for _ in left]
     for _, side, v in events:
         if side:
             open_.remove(v)
         else:
-            pairs.update((u, v) if u < v else (v, u) for u in open_)
+            for u in open_:
+                partners[u].append(v)
+            partners[v] += open_
             open_.add(v)
-    return pairs
+    for nb in partners:
+        nb.sort()
+    return partners
 
 
 def _meets_exactly(g: Graph, left: list[int], right: list[int]) -> bool:
@@ -180,14 +187,16 @@ def validate_representation(g: Graph, rep: IntervalRepresentation,
         return RepresentationVerdict(False, "tied endpoints (must be pairwise distinct)")
     if _meets_exactly(g, left, right):
         return RepresentationVerdict(True)
-    meets = _intersecting_pairs(left, right)
+    meets = {(u, v) for u, nb in enumerate(_partners(left, right)) for v in nb if u < v}
     u, v = min(meets.symmetric_difference(g.edges))
     kind = "intersect without an edge" if (u, v) in meets else "share an edge but do not intersect"
     return RepresentationVerdict(False, f"vertices {u},{v} {kind}", (u, v))
 
 
 def graph_from_representation(rep: IntervalRepresentation) -> Graph:
-    return Graph(rep.n, _intersecting_pairs(*_integer_endpoints(rep)))
+    """The intersection graph, from the sweep's sorted partner lists,
+    which are symmetric and free of self-loops by construction."""
+    return Graph._trusted(tuple(map(tuple, _partners(*_integer_endpoints(rep)))))
 
 
 def _max_right_neighbor(g: Graph, right: list[int], v: int) -> int | None:

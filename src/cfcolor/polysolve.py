@@ -56,16 +56,15 @@ def solve_bipartite_cfcn(g: Graph, bipartition: tuple[tuple[int, ...], tuple[int
     """Color side A with 0 and side B with 1; exact for any bipartite
     graph with an edge (a 1-coloring dies on any edge's closed
     neighborhood, and in the side coloring each vertex's own color is
-    unique within N[v])."""
+    unique within N[v]).  An edgeless graph takes color 0 throughout,
+    as in `solve_split_cfcn`: one color, and none on the empty graph."""
     a, b = (frozenset(bipartition[0]), frozenset(bipartition[1]))
     if a & b or (a | b) != frozenset(range(g.n)):
         raise ValueError("bipartition must partition the vertex set")
     for u, v in g.edges:
         if (u in a) == (v in a):
             raise ValueError(f"edge {u}-{v} lies inside one side of the bipartition")
-    if g.m == 0:
-        raise ValueError("bipartite coloring needs at least one edge")
-    return _side_coloring(g, a)
+    return _side_coloring(g, a if g.m else range(g.n))
 
 
 def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
@@ -221,9 +220,11 @@ def lemma1_cfon(g: Graph, m: Modulator) -> SolveOutcome:
     neighbor, whose presence keeps that member's own neighborhood
     conflict-free.  A clique forming a whole component has no such
     member; if the 2d+1 vertex is then left staring at an all-0
-    neighborhood of size >= 2, a second member takes 2d+2.  That repair
-    exceeds 2d+2 distinct colors only in degenerate cases (d=0 single
-    clique uses max(2d+2, 3) = 3) and flags the outcome.
+    neighborhood of size >= 2, a second member takes color 1 when d >= 1
+    (the first modulator vertex's color, which no vertex of that
+    component sees) and 2d+2 = 2 when d = 0.  So at most 2d+2 colors are used, except at
+    d = 0, where such a clique takes max(2d+2, 3) = 3 and the outcome is
+    flagged.
     """
     x, cliques = _residual(g, m, "cluster")
     require_feasible(g, VARIANT_ON)
@@ -265,8 +266,9 @@ def _lemma1(
         colors[u] = 2 * d + 1
         nb = g.neighbors(u)
         if len(nb) >= 2 and all(colors[w] == 0 for w in nb):
-            colors[min(nb)] = 2 * d + 2
-            note = "isolated-clique corner: second recolor with color 2d+2"
+            colors[min(nb)] = 1 if d else 2
+            if not d:
+                note = "isolated-clique corner: second recolor with color 2d+2"
 
     coloring = Coloring(g, tuple(colors))
     return checked_outcome(coloring, VARIANT_ON, UPPER_BOUND, note=note)

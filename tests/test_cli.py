@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report shape, artifacts."""
 
 import hashlib
+import importlib.util
 import os
 import re
 import shutil
@@ -776,12 +777,12 @@ def test_recognize_and_gen_output_pinned(tmp_path, capsys):
 def test_solver_defect_exits_4(tmp_path, capsys, monkeypatch):
     # wire a broken solver in behind the dispatcher: the re-verification
     # step must catch it and report an internal defect
-    import cfcolor.cli as cli
+    import cfcolor.polysolve as polysolve
 
     def broken(g, partition):
         return SolveOutcome(Coloring(g, (0,) * g.n), 1, "exact")
 
-    monkeypatch.setattr(cli, "solve_split_cfcn", broken)
+    monkeypatch.setattr(polysolve, "solve_split_cfcn", broken)
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "split", g)
     assert code == 4 and "re-verification" in pairs["error"]
@@ -800,12 +801,12 @@ def test_approx_self_check_exits_4(tmp_path, capsys, monkeypatch):
 def test_uncaught_exception_exits_5(tmp_path, capsys, monkeypatch):
     # a crash is an internal defect: its own exit code and an error line,
     # never a traceback that exits 1, the code for NO
-    import cfcolor.cli as cli
+    import cfcolor.polysolve as polysolve
 
     def crashing(g, partition):
         raise RuntimeError("solver crashed")
 
-    monkeypatch.setattr(cli, "solve_split_cfcn", crashing)
+    monkeypatch.setattr(polysolve, "solve_split_cfcn", crashing)
     g = put(tmp_path, "p4.cf", P4)
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", g)
     assert code == 5 and pairs["error"] == "RuntimeError: solver crashed"
@@ -816,6 +817,15 @@ def test_uncaught_exception_exits_5(tmp_path, capsys, monkeypatch):
 def test_solve_edgeless_cn(tmp_path, capsys, text):
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", put(tmp_path, "e.cf", text))
     assert code == 0 and pairs["strategy"] == "split"
+    assert pairs["colors_used"] == "1" and pairs["optimality"] == "exact"
+
+
+@pytest.mark.parametrize("text", ["p cf 1 0\n", "p cf 3 0\n"])
+def test_solve_edgeless_bipartite(tmp_path, capsys, text):
+    # an edgeless graph is bipartite, and every vertex takes color 0
+    code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", "bipartite",
+                         put(tmp_path, "e.cf", text))
+    assert code == 0 and pairs["strategy"] == "bipartite"
     assert pairs["colors_used"] == "1" and pairs["optimality"] == "exact"
 
 
@@ -890,14 +900,16 @@ def test_solve_verifies_each_coloring_once(tmp_path, capsys, monkeypatch, strate
 )
 def test_every_strategy_is_looked_up_in_cli(tmp_path, capsys, monkeypatch, solver, graph,
                                             variant, strategy):
-    # the strategy table must find each solver in the cli module when it
-    # runs: a broken stand-in put there has to reach the re-verification
-    import cfcolor.cli as cli
+    # the strategy table must find each solver in its defining module
+    # when it runs: a broken stand-in put there has to reach the cli's
+    # re-verification
+    from cfcolor import fpt, interval, polysolve
 
     def broken(g, *rest):
         return SolveOutcome(Coloring(g, (0,) * g.n), 1, "exact")
 
-    monkeypatch.setattr(cli, solver, broken)
+    module = next(m for m in (polysolve, interval, fpt) if solver in vars(m))
+    monkeypatch.setattr(module, solver, broken)
     argv = ["solve", "--variant", variant, "--strategy", strategy, put(tmp_path, "g.cf", GRAPHS[graph])]
     if strategy == "interval":
         argv += ["--intervals", put(tmp_path, "g.ivl", P4_INTERVALS)]
@@ -977,12 +989,12 @@ def test_auto_matches_first_applicable_class_strategy(tmp_path, capsys):
 )
 def test_applicability_tests_are_looked_up_in_cli(tmp_path, capsys, monkeypatch, strategy,
                                                   graph, refusal):
-    # the table's applicability tests find the recognizers in the cli
-    # module when they run: a recognizer replaced there refuses
-    import cfcolor.cli as cli
+    # the table's applicability tests find the recognizers in
+    # `graphclasses` when they run: a recognizer replaced there refuses
+    import cfcolor.graphclasses as graphclasses
 
     for name in ("is_split", "is_bipartite", "is_cograph"):
-        monkeypatch.setattr(cli, name, lambda g: (False, None))
+        monkeypatch.setattr(graphclasses, name, lambda g: (False, None))
     code, pairs, _ = run(capsys, "solve", "--variant", "cn", "--strategy", strategy,
                          put(tmp_path, "g.cf", GRAPHS[graph]))
     assert code == 2 and pairs["error"] == refusal
@@ -1066,6 +1078,24 @@ def test_console_script_installed(tmp_path):
     assert exe is not None
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0 and "cfcolor" in proc.stdout
+
+
+def test_backend_requires_dist_lines_parse():
+    # each dependency's own marker is joined with its extra's, so every
+    # Requires-Dist line the build backend writes is one valid requirement
+    requirements = pytest.importorskip("packaging.requirements")
+    if sys.version_info < (3, 11):
+        pytest.importorskip("tomli")  # the build backend's TOML parser before 3.11
+    spec = importlib.util.spec_from_file_location("cfbuild", REPO_ROOT / "_backend" / "cfbuild.py")
+    cfbuild = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cfbuild)
+    lines = [line.removeprefix("Requires-Dist: ")
+             for line in cfbuild._metadata(cfbuild._project()).splitlines()
+             if line.startswith("Requires-Dist: ")]
+    assert any("python_version" in line for line in lines)
+    for line in lines:
+        marker = requirements.Requirement(line).marker
+        assert marker is not None and not marker.evaluate({"extra": ""}), line
 
 
 def _python_3_10():

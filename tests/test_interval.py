@@ -133,6 +133,16 @@ def test_graph_from_representation():
     assert graph_from_representation(K3_REP) == K3
 
 
+def test_generated_interval_graphs_match_the_validating_constructor():
+    # the sweep's partner lists, wrapped unchecked, give the graph that
+    # `Graph(n, edges)` builds from the pairwise intersections
+    for n in range(1, 61):
+        for seed in range(10):
+            g, rep = random_interval_instance(n, seed)
+            truth = _pairwise_graph(rep)
+            assert g == truth, (n, seed)
+
+
 def _pairwise_verdict(g, rep):
     """Reference: the O(n^2) definition, every pair in lexicographic
     order, first mismatch reported."""

@@ -20,7 +20,7 @@ PACKAGE = Path(cfcolor.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
 LOWER = ("coloring", "graph", "oracle", "interval", "hardness")
-UPPER = ("polysolve", "graphclasses", "fpt", "cli")
+UPPER = ("polysolve", "graphclasses", "fpt", "ladder", "cli")
 
 
 def imported_modules(name: str) -> set[str]:

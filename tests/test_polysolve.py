@@ -69,8 +69,9 @@ def test_bipartite_rejects_bad_partition():
         solve_bipartite_cfcn(K2, ((0, 1), ()))
     with pytest.raises(ValueError, match="partition the vertex set"):
         solve_bipartite_cfcn(K2, ((0,), (0, 1)))
-    with pytest.raises(ValueError, match="at least one edge"):
-        solve_bipartite_cfcn(Graph(2, []), ((0, 1), ()))
+    # an edgeless graph is answered, as the split solver answers it
+    out = solve_bipartite_cfcn(Graph(2, []), ((0, 1), ()))
+    assert out.coloring.colors == (0, 0) and out.colors_used == 1 and out.optimality == EXACT
 
 
 def test_bipartite_matches_oracle_small():
