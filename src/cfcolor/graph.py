@@ -17,9 +17,10 @@ self-loops are a hard error.
 
 A header may declare at most MAX_VERTICES vertices: a graph holds one
 neighbour tuple per declared vertex, so a larger count is a format error
-rather than an allocation the text cannot justify.  The line reader
-gives a list only to vertices on some edge, the bulk reader only to ids
-up to the largest endpoint; every other vertex shares the empty tuple.
+rather than an allocation the text cannot justify.  The constructor,
+which the line reader ends in, gives a set only to vertices on some
+edge, the bulk reader a list only to ids up to the largest endpoint;
+every other vertex shares the empty tuple.
 
 The reader takes canonical text (what `write_graph` emits) in bulk:
 one pattern match, one split, one conversion per distinct endpoint
@@ -67,16 +68,20 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        # only a vertex on some edge gets a set; every other shares ()
+        met: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            met[u].add(v)
+            met[v].add(u)
+        adj: list[tuple[int, ...]] = [()] * n
+        for v, nb in met.items():
+            adj[v] = tuple(sorted(nb))
         self.n = n
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._adj = tuple(adj)
 
     @classmethod
     def _trusted(cls, adj: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -173,7 +178,6 @@ def _parse_lines(text: str) -> Graph:
     """The line-by-line reader: any text, and every format error."""
     n = m = None
     edges: list[tuple[int, int]] = []
-    edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0].startswith("c"):
@@ -205,25 +209,14 @@ def _parse_lines(text: str) -> Graph:
                 raise GraphFormatError(f"self-loop at vertex {u}", lineno)
             if not (0 <= u < n) or not (0 <= v < n):
                 raise GraphFormatError(f"vertex id out of range for n={n}", lineno)
-            edge_lines += 1
             edges.append((u, v))
         else:
             raise GraphFormatError(f"unknown line type {fields[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing 'p cf' header")
-    if edge_lines != m:
-        raise GraphFormatError(f"header declares {m} edges but found {edge_lines} edge lines")
-    # every edge line was checked above, so the trusted constructor
-    # only has to collapse duplicates and sort; only a vertex on some
-    # edge gets a list, so a large header costs one shared () per vertex
-    met: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
-        met[u].append(v)
-        met[v].append(u)
-    adj: list[tuple[int, ...]] = [()] * n
-    for v, nb in met.items():
-        adj[v] = tuple(sorted(set(nb)))
-    return Graph._trusted(tuple(adj))
+    if len(edges) != m:
+        raise GraphFormatError(f"header declares {m} edges but found {len(edges)} edge lines")
+    return Graph(n, edges)
 
 
 def write_graph(g: Graph) -> str:

@@ -22,21 +22,22 @@ node when the module is disconnected, a Series node when its complement
 is, otherwise a Prime node whose children are left as single leaves.
 That is exact on cographs (the only consumers) -- a cograph never
 reaches the Prime case at any level.  It works on vertex sets of the
-input graph and builds no complement or induced subgraph: components
-come from a breadth-first search inside the module, co-components from
-a search over the still-unvisited vertices in which each look either
-reaches a vertex or is paid for by an edge.  Below a parallel node
-only the complement can split a module, and below a series node only
-the module itself, so each module takes one search.  Before the search,
-degrees inside the module are tried: when the vertices of degree 0
-(|M| - 1 for the complement) stand alone and one of the rest connects
-the rest, they give the parts in O(|M|) with no search; this settles
-every level of a threshold graph.  A series part is trimmed by removing
-the vertices outside it from its members' neighbour sets, so each edge
-is removed once.  A searched module costs O(size + its edges), and a
-work list replaces recursion, because a threshold graph's cotree is
-about n/2 levels deep.  A threshold graph thus costs O(n^2 + m); other
-deep cotrees, whose levels need the search, up to O(n (n + m)).
+input graph and builds no complement or induced subgraph: one
+breadth-first search over the module's still-unvisited vertices gives
+its components or, with a switch, its co-components, where each look
+either reaches a vertex or is paid for by an edge.  Below a parallel
+node only the complement can split a module, and below a series node
+only the module itself, so each module takes one search.  Before the
+search, degrees inside the module are tried: when the vertices of
+degree 0 (|M| - 1 for the complement) stand alone and one of the rest
+connects the rest, they give the parts in O(|M|) with no search; this
+settles every level of a threshold graph.  A series part is trimmed
+by removing the vertices outside it from its members' neighbour sets,
+so each edge is removed once.  A searched module costs O(size + its
+edges), and a work list replaces recursion, because a threshold
+graph's cotree is about n/2 levels deep.  A threshold graph thus costs
+O(n^2 + m); other deep cotrees, whose levels need the search, up to
+O(n (n + m)).
 
 Cluster and threshold graphs are each decided by one check of G minus
 a removed vertex set, which returns the certificate or else a forbidden
@@ -169,29 +170,13 @@ def is_threshold(g: Graph) -> tuple[bool, tuple[tuple[int, str], ...] | None]:
     return order is not None, order
 
 
-def _components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple[int, ...]]:
-    """Components of the module, each sorted, ordered by smallest member;
-    adj[v] holds v's neighbours inside the module."""
-    rest = set(vertices)
-    comps = []
-    for s in vertices:
-        if s not in rest:
-            continue
-        rest.remove(s)
-        comp = [s]
-        for v in comp:  # breadth-first: the list grows while it is read
-            reached = rest.intersection(adj[v])
-            rest -= reached
-            comp.extend(reached)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
-
-def _co_components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple[int, ...]]:
-    """Components of the module's complement, in the same form, by a
-    breadth-first search over the unvisited vertices: each vertex it
-    looks at is either reached (a non-neighbour) or stays unvisited
-    because it is a neighbour, so one pop costs O(1 + its degree)."""
+def _search(vertices: tuple[int, ...], adj: list[set[int]], co: bool) -> list[tuple[int, ...]]:
+    """Components of the module (of its complement with `co`), each
+    sorted, ordered by smallest member; adj[v] holds v's neighbours
+    inside the module.  A breadth-first search over the unvisited
+    vertices: each vertex a pop looks at is either reached (a
+    neighbour, a non-neighbour with `co`) or stays unvisited, so one pop
+    costs O(1 + its degree)."""
     unvisited = set(vertices)
     comps = []
     for s in vertices:
@@ -199,12 +184,16 @@ def _co_components(vertices: tuple[int, ...], adj: list[set[int]]) -> list[tuple
             continue
         unvisited.remove(s)
         comp = [s]
-        for v in comp:
+        for v in comp:  # breadth-first: the list grows while it is read
             if not unvisited:
                 break
-            kept = unvisited.intersection(adj[v])
-            comp.extend(unvisited - kept)
-            unvisited = kept
+            nb = unvisited.intersection(adj[v])
+            if co:
+                comp.extend(unvisited - nb)
+                unvisited = nb
+            else:
+                comp.extend(nb)
+                unvisited -= nb
         comps.append(tuple(sorted(comp)))
     return comps
 
@@ -213,7 +202,7 @@ def _degree_split(
     vertices: tuple[int, ...], adj: list[set[int]], co: bool
 ) -> list[tuple[int, ...]] | None:
     """The module's components (co-components with `co`) in the form of
-    `_components`, when degrees inside the module settle them, else
+    `_search`, when degrees inside the module settle them, else
     None.  A vertex of degree 0 (|M| - 1 with `co`) stands alone.  The
     rest form one part when one of them is universal in the rest (is
     isolated in it with `co`, so universal in its complement), as that
@@ -258,10 +247,10 @@ def modular_decomposition(g: Graph) -> MDNode:
         else:
             kind = "prime"
             if above[i] != "parallel":
-                parts = _degree_split(vertices, adj, False) or _components(vertices, adj)
+                parts = _degree_split(vertices, adj, False) or _search(vertices, adj, False)
                 kind = "parallel" if len(parts) > 1 else kind
             if kind == "prime" and above[i] != "series":
-                parts = _degree_split(vertices, adj, True) or _co_components(vertices, adj)
+                parts = _degree_split(vertices, adj, True) or _search(vertices, adj, True)
                 kind = "series" if len(parts) > 1 else kind
             if kind == "prime":
                 parts = [(v,) for v in vertices]

@@ -28,9 +28,11 @@ right-endpoint-maximal neighbors (colors 1, 2, 3), then zero-fills a
 window of their neighbors.  Already-colored vertices are never
 overwritten: the explicit assignments only ever target uncolored
 vertices, and the zero-fill skips colored ones.  At most four distinct
-colors (0..3) are ever used.  The closed and open variants differ only
-in the connectivity guard and in how the globally rightmost interval is
-colored; `cfcn_interval` and `cfon_interval` name the two.
+colors (0..3) are ever used.  The graph need not be connected: an
+interval with no neighbor ending after it ends last in its component,
+and the closed and open variants differ only in how such an interval is
+colored; `cfcn_interval` and `cfon_interval` name the two.  Under the
+open variant an isolated vertex is refused as `INFEASIBLE`.
 
 All tie-breaking is by endpoints, never by vertex id, so permuting
 vertex ids while keeping intervals fixed permutes the output coloring
@@ -50,9 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
-from .graph import Graph, GraphFormatError, is_connected
+from .graph import Graph, GraphFormatError
 from .coloring import (UPPER_BOUND, VARIANT_CN, VARIANT_ON, Coloring, SolveOutcome,
-                       checked_outcome)
+                       checked_outcome, require_feasible)
 
 
 @dataclass(frozen=True)
@@ -212,23 +214,20 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
     """The left-endpoint sweep shared by both variants; at most 4 colors.
 
     Each uncolored interval in turn receives color 1 and drags along the
-    right-endpoint-maximal neighbor (color 2) and, if that is still not
-    the globally rightmost interval, its own such neighbor (color 3);
-    the zero-fill then blankets the uncolored part of the involved
-    neighborhoods inside the stated endpoint window.  Only the guard and
-    the globally rightmost interval depend on the variant.
+    right-endpoint-maximal neighbor (color 2) and, if that one still has
+    a neighbor ending after it, that neighbor too (color 3); the
+    zero-fill then blankets the uncolored part of the involved
+    neighborhoods inside the stated endpoint window.  An interval with
+    no neighbor ending after it ends last in its component, as an
+    interval bridging to a later end would meet it; only its coloring
+    depends on the variant.
     """
     left, right = _integer_endpoints(rep)
     verdict = validate_representation(g, rep, (left, right))
     if not verdict.ok:
         raise ValueError(f"invalid interval representation: {verdict.reason}")
-    if g.n < (1 if variant == VARIANT_CN else 2) or not is_connected(g):
-        raise ValueError(
-            "sweep requires a connected interval graph" if variant == VARIANT_CN
-            else "open-neighborhood sweep requires a connected graph on >= 2 vertices"
-        )
+    require_feasible(g, variant)
     colors: list[int] = [-1] * g.n
-    rightmost = max(range(g.n), key=right.__getitem__)
     order = sorted(range(g.n), key=left.__getitem__)
 
     def fill(vertices, lo_left: int, hi_right: int | None) -> None:
@@ -241,7 +240,8 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
     for vi in order:
         if colors[vi] != -1:
             continue
-        if vi == rightmost:
+        vl = _max_right_neighbor(g, right, vi)
+        if vl is None:  # vi ends last in its component
             colors[vi] = 1
             if variant == VARIANT_ON:
                 # the intervals contained in vi are its neighbors starting later
@@ -253,12 +253,9 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
                     colors[vi2] = 2
             fill(g.neighbors(vi), left[vi], None)
             continue
-        vl = _max_right_neighbor(g, right, vi)
-        assert vl is not None, "connected interval graph must have a dominating neighbor"
         chain = [vi, vl]
-        if vl != rightmost:
-            chain.append(_max_right_neighbor(g, right, vl))
-            assert chain[2] is not None
+        if (third := _max_right_neighbor(g, right, vl)) is not None:
+            chain.append(third)
         for color, u in enumerate(chain, start=1):
             if colors[u] == -1:
                 colors[u] = color
@@ -272,15 +269,15 @@ def _sweep(g: Graph, rep: IntervalRepresentation, variant: str) -> SolveOutcome:
 
 
 def cfcn_interval(g: Graph, rep: IntervalRepresentation) -> SolveOutcome:
-    """Sweep for closed neighborhoods: the globally rightmost interval
-    takes color 1 and zero-fills its uncolored neighbors."""
+    """Sweep for closed neighborhoods: an interval that ends last in its
+    component takes color 1 and zero-fills its uncolored neighbors."""
     return _sweep(g, rep, VARIANT_CN)
 
 
 def cfon_interval(g: Graph, rep: IntervalRepresentation) -> SolveOutcome:
-    """Sweep for open neighborhoods: when other intervals lie inside the
-    globally rightmost one, the first of them to start is colored 2 and
-    its other uncolored neighbors 0, so that the rightmost interval's own
+    """Sweep for open neighborhoods: when other intervals lie inside an
+    interval that ends last in its component, the first of them to start
+    is colored 2 and its other uncolored neighbors 0, so that its own
     neighborhood keeps a unique color; with none inside it takes color 1
-    alone."""
+    alone.  A graph with an isolated vertex is refused."""
     return _sweep(g, rep, VARIANT_ON)

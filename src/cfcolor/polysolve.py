@@ -41,8 +41,7 @@ def _universal_shortcut(g: Graph) -> SolveOutcome | None:
     u = next((v for v in range(g.n) if g.degree(v) == g.n - 1), None)
     if u is None:
         return None
-    coloring = Coloring(g, tuple(1 if v == u else 0 for v in range(g.n)))
-    return checked_outcome(coloring, VARIANT_CN, EXACT)
+    return _side_coloring(g, set(range(g.n)) - {u})
 
 
 def _side_coloring(g: Graph, zero_side, note: str = "") -> SolveOutcome:

@@ -290,6 +290,17 @@ def test_solve_interval_strategy(tmp_path, capsys):
     assert int(pairs["colors_used"]) <= 4
 
 
+@pytest.mark.parametrize("variant", ["cn", "on"])
+def test_solve_disconnected_interval_graph(tmp_path, capsys, variant):
+    # P4 and K3 side by side: no rung above interval takes P4 + K3, and
+    # the sweep answers each component
+    g = put(tmp_path, "g.cf", "p cf 7 6\ne 0 1\ne 1 2\ne 2 3\ne 4 5\ne 4 6\ne 5 6\n")
+    ivl = put(tmp_path, "g.ivl", P4_INTERVALS + "i 4 10 14\ni 5 11 15\ni 6 12 16\n")
+    code, pairs, _ = run(capsys, "solve", "--variant", variant, "--intervals", ivl, g)
+    assert code == 0 and pairs["strategy"] == "interval"
+    assert int(pairs["colors_used"]) <= 4
+
+
 @pytest.mark.parametrize(
     "strategy,graph,variant",
     [

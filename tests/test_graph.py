@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -241,6 +242,19 @@ def test_bulk_reader_keeps_large_header_small(tmp_path, edges):
     assert proc.returncode == 0, proc.stderr
     # a list per declared vertex peaks near 90 MB, a shared () near 30 MB
     assert int(proc.stdout) < 60 * 1024  # kB
+
+
+def test_constructor_keeps_large_n_small():
+    # the constructor, which the line reader ends in, gives a set only
+    # to vertices on some edge; every other vertex shares ()
+    tracemalloc.start()
+    try:
+        g = Graph(MAX_VERTICES, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert g == parse_graph(f"c x\np cf {MAX_VERTICES} 2\ne 1 0\ne 0 1\n")
 
 
 def test_canonical_text_skips_line_reader(monkeypatch):

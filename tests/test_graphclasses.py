@@ -325,22 +325,20 @@ def test_degree_split_matches_the_searches():
     # the breadth-first searches give
     settled = 0
     for vertices, adj in _modules_to_split():
-        for co, search in ((False, graphclasses_module._components),
-                           (True, graphclasses_module._co_components)):
+        for co in (False, True):
             parts = graphclasses_module._degree_split(vertices, adj, co)
             if parts is not None:
                 settled += 1
-                assert parts == search(vertices, adj)
+                assert parts == graphclasses_module._search(vertices, adj, co)
     assert settled > 1000
 
 
 def test_threshold_cotree_needs_no_search(monkeypatch):
     # every level of a threshold graph's cotree is settled by degrees
-    def no_search(vertices, adj):
+    def no_search(vertices, adj, co):
         raise AssertionError("searched a threshold module")
 
-    monkeypatch.setattr(graphclasses_module, "_components", no_search)
-    monkeypatch.setattr(graphclasses_module, "_co_components", no_search)
+    monkeypatch.setattr(graphclasses_module, "_search", no_search)
     for n in (1, 2, 5, 30, 200):
         for s in range(3):
             ok, tree = is_cograph(random_threshold(n, s, connected=bool(s % 2))[0])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcolor.graph import Graph, GraphFormatError
-from cfcolor.coloring import verify_cfcn, verify_cfon
+from cfcolor.coloring import INFEASIBLE, verify_cfcn, verify_cfon
 from cfcolor.oracle import exact_cf
 from cfcolor.polysolve import UPPER_BOUND
 from cfcolor.interval import (
@@ -321,17 +321,18 @@ def test_sweeps_reject_invalid_representation():
         cfcn_interval(K2, rep_of((0, 1), (2, 3)))
 
 
-def test_sweeps_reject_disconnected():
+def test_sweeps_answer_disconnected():
+    # each of two disjoint intervals ends last in its component: color 1
+    # serves its closed neighborhood, and its open one is empty
     g = Graph(2, [])
     rep = rep_of((0, 1), (2, 3))
-    with pytest.raises(ValueError, match="connected"):
-        cfcn_interval(g, rep)
-    with pytest.raises(ValueError, match="connected"):
+    assert cfcn_interval(g, rep).coloring.colors == (1, 1)
+    with pytest.raises(ValueError, match=INFEASIBLE):
         cfon_interval(g, rep)
 
 
 def test_cfon_rejects_single_vertex():
-    with pytest.raises(ValueError, match=">= 2"):
+    with pytest.raises(ValueError, match=INFEASIBLE):
         cfon_interval(Graph(1, []), rep_of((0, 1)))
 
 
@@ -363,6 +364,38 @@ def test_sweeps_valid_and_within_four_colors(n, seed):
         assert verifier(out.coloring)
         assert out.colors_used <= 4
         assert set(out.coloring.colors) <= {0, 1, 2, 3}
+
+
+def _disjoint_union(seed):
+    """2-4 seeded interval instances of 1-12 vertices side by side, each
+    shifted past the one before, with the vertex ids shuffled."""
+    rng = random.Random(seed)
+    intervals, shift = [], 0
+    for _ in range(rng.randint(2, 4)):
+        _, rep = random_interval_instance(rng.randint(1, 12), rng.randrange(10**6))
+        intervals += [(l + shift, r + shift) for l, r in rep.intervals]
+        shift = max(r for _, r in intervals) + 1
+    rng.shuffle(intervals)
+    rep = IntervalRepresentation(tuple(intervals))
+    return graph_from_representation(rep), rep
+
+
+def test_sweeps_answer_disjoint_unions():
+    # an interval graph need not be connected: each component's last
+    # interval to end is found by its neighbours, not by a global maximum
+    infeasible = 0
+    for seed in range(150):
+        g, rep = _disjoint_union(seed)
+        out = cfcn_interval(g, rep)
+        assert verify_cfcn(out.coloring) and out.colors_used <= 4
+        if g.has_isolated_vertex():
+            infeasible += 1
+            with pytest.raises(ValueError, match=INFEASIBLE):
+                cfon_interval(g, rep)
+        else:
+            out = cfon_interval(g, rep)
+            assert verify_cfon(out.coloring) and out.colors_used <= 4
+    assert 0 < infeasible < 150
 
 
 @given(st.integers(2, 8), st.integers(0, 10**6))
