@@ -236,8 +236,7 @@ def _cmd_solve(args, report: RunReport) -> int:
         decision = solve_via_kernel(g, m, args.k, args.variant, limit=limit)
         report.add("strategy", "fpt")
         report.add("decision", "yes" if decision.yes else "no")
-        if decision.note:
-            report.add("note", decision.note)
+        report.add("note", decision.note)
         if not decision.yes:
             return 1
         report.add("colors_used", decision.witness.num_colors)
@@ -395,7 +394,10 @@ _GENERATORS = {
 def _cmd_gen(args, report: RunReport) -> int:
     cliques = None
     if args.cliques:
-        cliques = tuple(int(tok) for tok in args.cliques.split(",") if tok.strip())
+        try:
+            cliques = tuple(int(tok) for tok in args.cliques.split(",") if tok.strip())
+        except ValueError:
+            raise ValueError(f"--cliques must be comma-separated integers, got {args.cliques!r}")
     generate, cert_lines = _GENERATORS[args.klass]
     g, certificate = generate(args, cliques)
     stem = Path(args.out) if args.out else Path(

@@ -89,7 +89,7 @@ class KernelDecision:
     yes: bool
     witness: Coloring | None
     kernel: KernelInstance
-    note: str = ""
+    note: str
 
 
 def _rep(cls: Classes) -> int:

@@ -12,10 +12,10 @@ Split recognition uses the degree-sequence characterization: with
 degrees d_1 >= ... >= d_n and m = max{i : d_i >= i-1}, the graph is
 split iff sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, in which case the m
 vertices of largest degree (ties broken by smaller id) form a maximum
-clique and the rest are independent.  `split_by_degrees` is that step
-and `is_split` returns its partition unchecked, as the characterization
-guarantees it; the split solver checks any partition it is given, and
-recomputes the canonical one from the degrees.
+clique and the rest are independent.  `is_split` is that step and
+returns its partition unchecked, as the characterization guarantees it;
+the split solver checks any partition it is given, and recomputes the
+canonical one through `is_split`.
 
 The modular decomposition is the simplified top-down one: a Parallel
 node when the module is disconnected, a Series node when its complement
@@ -137,11 +137,12 @@ def neighbours_inside(g: Graph, vertices, inside: set[int]) -> list[int]:
     return [len(inside.intersection(g.neighbors(v))) for v in vertices]
 
 
-def split_by_degrees(g: Graph) -> SplitPartition | None:
-    """The degree step of split recognition: the m vertices of largest
-    degree (ties to the smaller id) against the rest when the degree
-    sequence says the graph is split, else None.  It reads degrees
-    only."""
+def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
+    """The degree characterization's verdict and partition: the m
+    vertices of largest degree (ties to the smaller id), a maximum
+    clique, against the rest, an independent set.  The characterization
+    guarantees both sides, so neither is re-checked here.  It reads
+    degrees only, O(n log n)."""
     deg = list(map(g.degree, range(g.n)))
     # a reversed sort is still stable: equal degrees keep increasing ids
     order = sorted(range(g.n), key=deg.__getitem__, reverse=True)
@@ -149,16 +150,8 @@ def split_by_degrees(g: Graph) -> SplitPartition | None:
     # d_i - (i - 1) strictly decreases, so the i with d_i >= i - 1 are a prefix
     m = sum(map(operator.ge, d, range(g.n)))
     if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
-        return None
-    return SplitPartition(tuple(sorted(order[:m])), tuple(sorted(order[m:])))
-
-
-def is_split(g: Graph) -> tuple[bool, SplitPartition | None]:
-    """The degree characterization's verdict and partition: a maximum
-    clique against an independent set, valid by the characterization,
-    so it is not re-checked here.  O(n log n)."""
-    p = split_by_degrees(g)
-    return p is not None, p
+        return False, None
+    return True, SplitPartition(tuple(sorted(order[:m])), tuple(sorted(order[m:])))
 
 
 def is_threshold(g: Graph) -> tuple[bool, tuple[tuple[int, str], ...] | None]:

@@ -157,7 +157,6 @@ def properly_colorable(g: Graph, k: int) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class CrossReport:
-    instance: GadgetInstance
     source_yes: bool
     gadget_yes: bool
     decoded: Coloring | None
@@ -188,4 +187,4 @@ def cross_validate(g: Graph, k: int, limit: int | None = DEFAULT_LIMIT) -> Cross
         forward_coloring(inst, Coloring(g, source))  # checks conflict-freeness
     gadget_yes, witness = decide_cf(inst.graph, VARIANT_ON, k + 2, limit=limit)
     decoded = decode(inst, witness) if gadget_yes else None
-    return CrossReport(inst, source is not None, gadget_yes, decoded)
+    return CrossReport(source is not None, gadget_yes, decoded)

@@ -79,9 +79,9 @@ def solve(g: Graph, variant: str, strategy: str = "auto", *,
 
     @functools.cache
     def smallest():  # the smaller modulator, ties prefer cluster; searched once
+        # auto only, after the cograph rung, which answers or raises on every
+        # cluster graph (a cograph): the cluster modulator is never empty here
         cluster = find_modulator(g, "cluster", budget)
-        if cluster is not None and not cluster.vertices:
-            return cluster
         # only a strictly smaller threshold modulator can win
         threshold = find_modulator(
             g, "threshold", budget if cluster is None else len(cluster.vertices) - 1)

@@ -354,8 +354,6 @@ def decide_cf(
         raise ValueError("k must be non-negative")
     if not feasible(g, variant):
         return False, None
-    if g.n == 0:
-        return True, Coloring(g, ())
     colors = find_unique_coloring(g.n, _neighborhood_constraints(g, variant), k, twins)
     if colors is None:
         return False, None

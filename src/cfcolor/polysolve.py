@@ -29,9 +29,9 @@ from .graphclasses import (
     SplitPartition,
     has_prime_node,
     is_bipartite,
+    is_split,
     neighbours_inside,
     residual_components,
-    split_by_degrees,
 )
 
 def _universal_shortcut(g: Graph) -> SolveOutcome | None:
@@ -86,25 +86,24 @@ def solve_split_cfcn(g: Graph, p: SplitPartition) -> SolveOutcome:
     always enough: one clique vertex 0, the rest of the clique 1, the
     independent side 2.
 
-    The 2-coloring test reads counts.  A clique-0 / independent-1
+    The 2-coloring test reads degrees.  A clique-0 / independent-1
     coloring of a partition (C', I') works iff |C'| = 1 or every vertex
-    of C' has exactly one neighbour in I'.  With ci[v] the number of
-    independent neighbours of v in the canonical (C, I): (C, I) works
-    iff |C| = 1 or every ci is 1.  Moving a v with ci[v] = 0 to the
-    independent side adds v to every other clique vertex's count, so
-    (C - v, I + v) works iff |C| = 2 or every ci is 0; the first such v
-    is taken.  No other single-vertex move can win.  A w in I adjacent
-    to all of C does not exist, C being maximum.  Swapping v in C with
-    a w in I adjacent to all of C - v leaves w with no neighbour on the
-    new independent side (it is not adjacent to v, again because C is
-    maximum), so that works only when the new clique is {w} alone,
-    i.e. |C| = 1, where (C, I) already works.
+    of C' has exactly one neighbour in I'.  A v in the canonical C has
+    deg(v) - (|C| - 1) independent neighbours, so (C, I) works iff
+    every v in C has degree |C|.  No single-vertex move can win.  A w
+    in I adjacent to all of C does not exist, C being maximum.  Moving
+    a v with no independent neighbour to I needs |C| = 2, which makes
+    the other clique vertex universal, or no independent neighbour on
+    all of C, which leaves I empty and g complete.  Swapping v in C
+    with a w in I adjacent to all of C - v leaves w with no neighbour
+    on the new independent side (it is not adjacent to v, C being
+    maximum), so it needs the new clique to be {w} alone, |C| = 1.
 
     The canonical partition comes from the degree sequence alone.  The
     input partition, checked first, shows that g is split, and then the
     degree characterization makes the canonical C a clique, so the rest
-    of a clique vertex's neighbours are independent and
-    ci[v] = deg(v) - (|C| - 1), with nothing recounted.
+    of a clique vertex's neighbours are independent, with nothing
+    recounted.
     """
     cset, iset = set(p.clique), set(p.independent)
     if cset & iset or (cset | iset) != set(range(g.n)):
@@ -133,31 +132,21 @@ def _split_with_edge(g: Graph) -> SolveOutcome:
 
     # probe the canonical maximum-clique partition (recomputed, so a
     # non-canonical input partition cannot weaken the decision)
-    canonical = split_by_degrees(g)
+    canonical = is_split(g)[1]
     assert canonical is not None  # the checked input shows g is split
     c = canonical.clique
-    ci = [g.degree(v) - (len(c) - 1) for v in c]
-    zeros = ci.count(0)
-    zero_side = None  # the clique side of a partition whose 2-coloring works
-    if len(c) == 1 or ci.count(1) == len(c):
-        zero_side = set(c)
-    elif zeros and (len(c) == 2 or zeros == len(c)):
-        zero_side = set(c) - {c[ci.index(0)]}
-    if zero_side is not None:
-        return _side_coloring(g, zero_side)
-
-    bip, sides = is_bipartite(g)
-    if bip:
+    if all(g.degree(v) == len(c) for v in c):
+        return _side_coloring(g, set(c))
+    if len(c) == 2:  # triangle-free, so bipartite
+        sides = is_bipartite(g)[1]
         assert sides is not None
         return _side_coloring(g, set(sides[0]), "triangle-free split graph: side coloring")
 
-    v0 = min(canonical.clique)
     colors = [2] * g.n
-    for v in canonical.clique:
+    for v in c:
         colors[v] = 1
-    colors[v0] = 0
-    coloring = Coloring(g, tuple(colors))
-    return checked_outcome(coloring, VARIANT_CN, EXACT)
+    colors[c[0]] = 0
+    return checked_outcome(Coloring(g, tuple(colors)), VARIANT_CN, EXACT)
 
 
 def solve_cograph(g: Graph, t: MDNode, variant: str) -> SolveOutcome:
@@ -251,7 +240,7 @@ def _lemma1(
     next_fresh = d + 1
     for xv in x:
         nb = g.neighbors(xv)
-        if nb and all(colors[u] == 0 for u in nb):
+        if all(colors[u] == 0 for u in nb):
             colors[min(nb)] = next_fresh
             next_fresh += 1
 

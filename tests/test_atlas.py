@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
+from cfcolor import ladder
 from cfcolor.coloring import EXACT, feasible, verify
+from cfcolor.generators import cluster_graph, random_cluster
 from cfcolor.graph import Graph
 from cfcolor.graphclasses import (cluster_modulator, is_bipartite, is_cluster, is_cograph,
                                   is_split, is_threshold)
@@ -116,3 +118,29 @@ def test_every_strategy_against_the_oracle_on_the_atlas():
     # the disconnected cographs are ROADMAP item 2, still open
     assert disconnected == {("auto", "cn"): 53, ("auto", "on"): 36,
                             ("cograph", "cn"): 143, ("cograph", "on"): 36}
+
+
+def test_auto_settles_every_cluster_graph_before_a_modulator_search(monkeypatch):
+    # a cluster graph is a cograph, so under auto the split, bipartite or
+    # cograph rung answers, or the cograph rung raises on a disconnected
+    # one (ROADMAP item 2), before the ladder searches a modulator
+    def no_search(*args):
+        raise AssertionError("modulator search on a cluster graph")
+
+    monkeypatch.setattr(ladder, "find_modulator", no_search)
+    graphs = [Graph(h.number_of_nodes(), h.edges()) for h in ATLAS]
+    graphs = [g for g in graphs if is_cluster(g)[0]]
+    graphs += [random_cluster(n, s)[0] for n in range(13) for s in range(5)]
+    graphs += [cluster_graph(sizes)[0] for sizes in ((), (1,), (4,), (3, 1), (2, 2, 2), (5, 1, 1))]
+    rungs = Counter()
+    for g in graphs:
+        for variant in ("cn", "on"):
+            if not feasible(g, variant):
+                continue
+            try:
+                rung, _ = solve(g, variant)
+            except ValueError as exc:
+                assert str(exc).startswith("root is not a series node"), exc
+                rung = "disconnected"
+            rungs[rung] += 1
+    assert set(rungs) == {"split", "bipartite", "cograph", "disconnected"}, rungs

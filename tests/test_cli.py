@@ -618,6 +618,14 @@ def test_gen_missing_d(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # refused before any artifact
 
 
+def test_gen_names_a_bad_cliques_value(tmp_path, capsys):
+    code, pairs, _ = run(capsys, "gen", "--class", "cluster", "--cliques", "3,x", "--n", "4",
+                         "--seed", "1", "--out", str(tmp_path / "g"))
+    assert code == 2
+    assert pairs["error"] == "--cliques must be comma-separated integers, got '3,x'"
+    assert list(tmp_path.iterdir()) == []  # refused before any artifact
+
+
 @pytest.mark.parametrize("klass", ["split", "threshold", "interval"])
 def test_gen_refuses_empty(klass, capsys):
     code, pairs, _ = run(capsys, "gen", "--class", klass, "--n", "0", "--seed", "1")

@@ -87,6 +87,18 @@ def test_single_vertex():
     assert exact_cf(g, "on").infeasible
 
 
+@pytest.mark.parametrize("variant", ["cn", "on"])
+def test_empty_graph(variant):
+    # no vertex, so no neighbourhood to serve: chi is 0, and every
+    # budget admits the empty coloring
+    g = Graph(0)
+    res = exact_cf(g, variant)
+    assert res.chromatic == 0 and res.witness.colors == ()
+    for k in (0, 1, 2, 10**12):
+        yes, witness = decide_cf(g, variant, k)
+        assert yes and witness.colors == ()
+
+
 def test_size_guard():
     big = Graph(17)
     with pytest.raises(SizeGuardError):

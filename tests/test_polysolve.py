@@ -224,6 +224,29 @@ def test_split_outcomes_pinned():
     assert h.hexdigest() == "56bc26b8a634ee8f2e4cbd8f78551ca7417082e5e447dce7116cfb404c6a64e9"
 
 
+def test_split_outcomes_pinned_beyond_six():
+    # sha256 over (colors, colors_used, optimality, note) on the connected
+    # split graphs with 7 or 8 vertices and their canonical partitions,
+    # then on random_split(n, s) for n 1..69 and s 0..39 with the
+    # generator partitions; as computed before the split solver's
+    # unreachable cases were deleted
+    h = hashlib.sha256()
+    count = 0
+    for g in connected_split_graphs(8):
+        if g.n >= 7:
+            count += 1
+            out = solve_split_cfcn(g, is_split(g)[1])
+            h.update(repr((out.coloring.colors, out.colors_used, out.optimality,
+                           out.note)).encode())
+    assert count == 501
+    for n in range(1, 70):
+        for s in range(40):
+            out = solve_split_cfcn(*random_split(n, s))
+            h.update(repr((out.coloring.colors, out.colors_used, out.optimality,
+                           out.note)).encode())
+    assert h.hexdigest() == "5d4557dc774f9ab276c87c456528fe420ba7e904686e5b916bde46074a5787db"
+
+
 # --- cograph ---------------------------------------------------------------
 
 def test_cograph_cn_universal():
